@@ -29,6 +29,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
 
+use cc_bench::percentile;
 use cc_core::{Execution, PathOracle, SolverBuilder};
 use cc_graphs::generators;
 use cc_obs::{parse_exposition, HistSummary};
@@ -51,14 +52,6 @@ fn pairs_for(seed: u64, n: usize, count: usize) -> Vec<(u32, u32)> {
             ((r % n as u64) as u32, ((r >> 32) % n as u64) as u32)
         })
         .collect()
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// One client's sustained-phase work: alternating dist/path batches, each
@@ -201,7 +194,6 @@ fn main() {
         .expect("write snapshot");
     let snap_bytes = std::fs::metadata(&snap_path).expect("stat snapshot").len();
     let opened = snapshot::open(&snap_path).expect("open snapshot");
-    assert_eq!(opened.version, 2, "the server must see a v2 snapshot");
     let mapped = opened.mapped;
     let zero_copy = opened
         .oracles

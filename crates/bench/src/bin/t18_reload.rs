@@ -30,6 +30,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use cc_bench::percentile;
 use cc_core::{DistOracle, DistanceMatrix, Guarantee, PointEstimate};
 use cc_graphs::StorageKind;
 use cc_obs::{parse_exposition, HistSummary};
@@ -54,14 +55,6 @@ fn pairs_for(seed: u64, n: usize, count: usize) -> Vec<(u32, u32)> {
             ((r % n as u64) as u32, ((r >> 32) % n as u64) as u32)
         })
         .collect()
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Renders a histogram summary as an all-integer JSON object (quantiles are
@@ -178,7 +171,6 @@ fn main() {
     publish(&gen_a, &snap_path);
     let snap_bytes = std::fs::metadata(&snap_path).expect("stat snapshot").len();
     let opened = snapshot::open(&snap_path).expect("open snapshot");
-    assert_eq!(opened.version, 2);
     let mapped = opened.mapped;
 
     let handle = server::serve(

@@ -87,6 +87,16 @@ pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
+/// The `p`-quantile (`0.0..=1.0`) of an ascending-sorted sample, by
+/// nearest rank; `0.0` for an empty sample.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
+    sorted[idx.min(sorted.len() - 1)]
+}
+
 /// Standard `n` sweep for scaling experiments.
 pub fn n_sweep() -> Vec<usize> {
     vec![128, 256, 512, 1024]
@@ -95,6 +105,15 @@ pub fn n_sweep() -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentile_picks_the_nearest_rank() {
+        let sorted = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(percentile(&sorted, 0.0), 1.0);
+        assert_eq!(percentile(&sorted, 0.5), 3.0);
+        assert_eq!(percentile(&sorted, 0.99), 5.0);
+        assert_eq!(percentile(&[], 0.5), 0.0);
+    }
 
     #[test]
     fn table_renders_aligned() {

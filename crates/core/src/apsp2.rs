@@ -26,6 +26,7 @@ use cc_emulator::EmulatorParams;
 use cc_graphs::{dadd, Dist, Graph, INF};
 use cc_matrix::{MinplusWorkspace, RowBuilder, SparseMatrix};
 use cc_routes::{PathStore, RecId};
+use cc_toolkit::hopset::BoundedHopset;
 use cc_toolkit::knearest::{KNearest, Strategy};
 use cc_toolkit::source_detection::SourceDetection;
 use cc_toolkit::through_sets::{distance_through_sets, distance_through_sets_with_witness};
@@ -210,25 +211,10 @@ pub(crate) fn run_mode(
             &mut mode,
             &mut phase,
         );
-        let union = hs.union_with(g);
-        let sd = match &paths {
-            Some(_) => SourceDetection::run_with_parents(&union, &s_pivots, hs.beta, &mut phase),
-            None => SourceDetection::run(&union, &s_pivots, hs.beta, &mut phase),
-        };
         if let Some(p) = paths.as_mut() {
             p.absorb_routes(hs.routes.as_ref().expect("hopset built with paths"));
         }
-        for v in 0..n {
-            for (i, &s) in s_pivots.iter().enumerate() {
-                let d = sd.dist_to_source_index(v, i);
-                if d < INF {
-                    delta.improve(v, s, d);
-                    if let Some(p) = paths.as_mut() {
-                        offer_sd_chain(p, g, &sd, i, v, d);
-                    }
-                }
-            }
-        }
+        detect_sources(g, &hs, g, &s_pivots, &mut delta, paths.as_mut(), &mut phase);
         let sets: Vec<Vec<usize>> = vec![s_pivots.clone(); n];
         merge_through_sets(n, &sets, &mut delta, paths.as_mut(), &mut phase);
     }
@@ -301,22 +287,15 @@ pub(crate) fn run_mode(
         p.absorb_routes(hs.routes.as_ref().expect("hopset built with paths"));
     }
     if let (Some(hs), false) = (&gp_hopset, a_pivots.is_empty()) {
-        let union = hs.union_with(&gp);
-        let sd = match &paths {
-            Some(_) => SourceDetection::run_with_parents(&union, &a_pivots, hs.beta, &mut phase),
-            None => SourceDetection::run(&union, &a_pivots, hs.beta, &mut phase),
-        };
-        for v in 0..n {
-            for (i, &a) in a_pivots.iter().enumerate() {
-                let d = sd.dist_to_source_index(v, i);
-                if d < INF {
-                    delta.improve(v, a, d);
-                    if let Some(p) = paths.as_mut() {
-                        offer_sd_chain(p, g, &sd, i, v, d);
-                    }
-                }
-            }
-        }
+        detect_sources(
+            g,
+            hs,
+            &gp,
+            &a_pivots,
+            &mut delta,
+            paths.as_mut(),
+            &mut phase,
+        );
         phase.charge_broadcast("announce nearest A-pivots");
         let mut a_mask = vec![false; n];
         for &a in &a_pivots {
@@ -360,22 +339,15 @@ pub(crate) fn run_mode(
         &mut phase,
     )?;
     if let (Some(hs), false) = (&gp_hopset, a2_pivots.is_empty()) {
-        let union = hs.union_with(&gp);
-        let sd = match &paths {
-            Some(_) => SourceDetection::run_with_parents(&union, &a2_pivots, hs.beta, &mut phase),
-            None => SourceDetection::run(&union, &a2_pivots, hs.beta, &mut phase),
-        };
-        for v in 0..n {
-            for (i, &a) in a2_pivots.iter().enumerate() {
-                let d = sd.dist_to_source_index(v, i);
-                if d < INF {
-                    delta.improve(v, a, d);
-                    if let Some(p) = paths.as_mut() {
-                        offer_sd_chain(p, g, &sd, i, v, d);
-                    }
-                }
-            }
-        }
+        detect_sources(
+            g,
+            hs,
+            &gp,
+            &a2_pivots,
+            &mut delta,
+            paths.as_mut(),
+            &mut phase,
+        );
         // Step 10: every vertex announces one A'-neighbor (1 round); each u
         // assembles A'_u from its list.
         phase.charge_broadcast("announce A'-attachments");
@@ -505,13 +477,37 @@ pub(crate) fn run_mode(
     })
 }
 
-/// Offers the source-detection walk behind `(sources[i], v)` at value `d`.
-/// The chains step over `G ∪ H`; hopset hops resolve against the routes the
-/// store absorbed from the hopset.
-fn offer_sd_chain(p: &mut PathStore, g: &Graph, sd: &SourceDetection, i: usize, v: usize, d: Dist) {
-    if let Some(chain) = sd.chain(i, v) {
-        let chain: Vec<u32> = chain.into_iter().map(|x| x as u32).collect();
-        p.offer_walk(g, d, &chain);
+/// `β`-hop source detection from `sources` over `base ∪ H` (`hs`), folded
+/// into `delta`. When recording, each improvement is shadowed by the
+/// detection walk behind it: the chains step over `base ∪ H`, and hopset
+/// hops resolve against the routes the store already absorbed from `hs`.
+fn detect_sources(
+    g: &Graph,
+    hs: &BoundedHopset,
+    base: &Graph,
+    sources: &[usize],
+    delta: &mut DistanceMatrix,
+    mut paths: Option<&mut PathStore>,
+    ledger: &mut RoundLedger,
+) {
+    let union = hs.union_with(base);
+    let sd = match paths {
+        Some(_) => SourceDetection::run_with_parents(&union, sources, hs.beta, ledger),
+        None => SourceDetection::run(&union, sources, hs.beta, ledger),
+    };
+    for v in 0..g.n() {
+        for (i, &s) in sources.iter().enumerate() {
+            let d = sd.dist_to_source_index(v, i);
+            if d < INF {
+                delta.improve(v, s, d);
+                if let Some(p) = paths.as_deref_mut() {
+                    if let Some(chain) = sd.chain(i, v) {
+                        let chain: Vec<u32> = chain.into_iter().map(|x| x as u32).collect();
+                        p.offer_walk(g, d, &chain);
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -1,14 +1,17 @@
 //! Hot-reload semantics over loopback TCP: N clients querying across M
 //! snapshot swaps, with exact accounting — every request answered, every
 //! answer bit-identical to one of the published snapshot generations,
-//! corrupt and resized files refused while the old generation serves.
+//! corrupt, retired-format and resized files refused while the old
+//! generation serves.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use cc_core::{DistOracle, DistanceMatrix, Guarantee, PointEstimate};
+use cc_core::{DistOracle, DistanceMatrix, Guarantee, PointEstimate, SnapshotError};
 use cc_graphs::StorageKind;
-use cc_serve::{server, snapshot, Client, ReloadConfig, ServerConfig, Status};
+use cc_serve::{
+    server, snapshot, Client, OpenError, ReloadConfig, ReloadError, ServerConfig, Status,
+};
 
 /// A CCDO oracle with `dist(u, v) = |u - v| * scale`: answers from
 /// different `scale`s are bit-distinguishable, so a response proves which
@@ -239,6 +242,63 @@ fn corrupt_files_are_quarantined_and_the_old_generation_keeps_serving() {
     assert_eq!(info.generation, 2);
     handle.shutdown();
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&quarantined).ok();
+}
+
+/// A committed golden snapshot from the workspace's `tests/golden`.
+fn golden(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(name)
+}
+
+#[test]
+fn v1_snapshots_are_quarantined_and_the_old_generation_keeps_serving() {
+    // The serving path opens format v2 only: every retired v1 golden is
+    // refused by version, before its checksum or layout is looked at.
+    for name in [
+        "oracle_full_v1.snap",
+        "oracle_rowsparse_v1.snap",
+        "oracle_symmetric_v1.snap",
+        "paths_v1.snap",
+    ] {
+        match snapshot::open(golden(name)) {
+            Err(SnapshotError::UnsupportedVersion(1)) => {}
+            other => panic!("{name}: expected UnsupportedVersion(1), got {other:?}"),
+        }
+    }
+
+    const N: usize = 20;
+    let gen_a = scaled_oracle(N, 1);
+    let path = temp_path("v1");
+    publish(&gen_a, &path);
+    let (handle, addr) = serve_reloadable(&path, ServerConfig::default());
+
+    // Publish a v1 file over the serving path by rename, like any deploy.
+    let staged = path.with_file_name("v1.tmp");
+    std::fs::copy(golden("oracle_full_v1.snap"), &staged).unwrap();
+    std::fs::rename(&staged, &path).unwrap();
+    let quarantined = match handle.trigger_reload() {
+        Err(ReloadError::Open(OpenError::Quarantined {
+            reason: SnapshotError::UnsupportedVersion(1),
+            quarantined_to,
+        })) => quarantined_to,
+        other => panic!("expected a UnsupportedVersion(1) quarantine, got {other:?}"),
+    };
+    assert!(quarantined.exists(), "v1 file quarantined aside");
+    assert!(!path.exists(), "serving path is clean for the next publish");
+
+    let mut client = Client::connect(addr).unwrap();
+    let pairs = pairs_for(11, N, 16);
+    let got = client.dist_batch(&pairs, 0).unwrap().unwrap();
+    let upairs: Vec<(usize, usize)> = pairs
+        .iter()
+        .map(|&(u, v)| (u as usize, v as usize))
+        .collect();
+    assert_eq!(got, gen_a.dist_batch(&upairs));
+    let stats = handle.stats();
+    assert_eq!((stats.generation, stats.reloads_rejected), (1, 1));
+    handle.shutdown();
     std::fs::remove_file(&quarantined).ok();
 }
 

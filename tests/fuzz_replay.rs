@@ -15,10 +15,10 @@ use std::path::Path;
 
 use cc_core::{DistOracle, PathOracle, SnapshotError};
 
-fn load_any(bytes: &[u8]) -> Result<(), SnapshotError> {
+fn load_any(mut bytes: &[u8]) -> Result<(), SnapshotError> {
     match bytes.get(..4) {
-        Some(b"CCRO") => PathOracle::from_snapshot_bytes(bytes).map(|_| ()),
-        _ => DistOracle::from_snapshot_bytes(bytes).map(|_| ()),
+        Some(b"CCRO") => PathOracle::load(&mut bytes).map(|_| ()),
+        _ => DistOracle::load(&mut bytes).map(|_| ()),
     }
 }
 
@@ -72,25 +72,58 @@ fn every_frozen_case_reproduces_its_pinned_error() {
     );
 }
 
+/// The committed goldens this build must load: the corpus generator's
+/// bases must stay valid, or the abuse cases above are testing mutations
+/// of garbage.
+const LOADABLE_GOLDENS: [&str; 4] = [
+    "oracle_full_v2.snap",
+    "oracle_rowsparse_v2.snap",
+    "oracle_symmetric_v2.snap",
+    "paths_v2.snap",
+];
+
+/// The committed goldens this build must turn away by version: the retired
+/// v1 stream format and the crafted future-version fixture.
+const UNSUPPORTED_GOLDENS: [(&str, u16); 5] = [
+    ("oracle_full_v1.snap", 1),
+    ("oracle_rowsparse_v1.snap", 1),
+    ("oracle_symmetric_v1.snap", 1),
+    ("paths_v1.snap", 1),
+    ("oracle_v255.snap", 255),
+];
+
 #[test]
 fn golden_snapshots_still_load_cleanly() {
-    // The inverse guard: the corpus generator's bases must stay valid, or
-    // the abuse cases above are testing mutations of garbage.
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    let mut loaded = 0;
-    for entry in std::fs::read_dir(&dir).expect("tests/golden") {
-        let path = entry.expect("dir entry").path();
-        if path.extension().is_some_and(|e| e == "snap") {
-            let bytes = std::fs::read(&path).expect("read golden");
-            // v255 is the deliberate future-version fixture; it must be
-            // rejected, not loaded.
-            if path.to_string_lossy().contains("v255") {
-                assert!(load_any(&bytes).is_err());
-            } else {
-                load_any(&bytes).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-                loaded += 1;
-            }
+    let read = |name: &str| std::fs::read(dir.join(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
+    for name in LOADABLE_GOLDENS {
+        load_any(&read(name)).unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+    for (name, version) in UNSUPPORTED_GOLDENS {
+        match load_any(&read(name)) {
+            Err(SnapshotError::UnsupportedVersion(v)) if v == version => {}
+            other => panic!("{name}: expected UnsupportedVersion({version}), got {other:?}"),
         }
     }
-    assert!(loaded >= 8, "golden corpus went missing: {loaded} loaded");
+    // Every committed golden is in exactly one of the two lists.
+    let mut listed: Vec<&str> = LOADABLE_GOLDENS
+        .into_iter()
+        .chain(UNSUPPORTED_GOLDENS.map(|(name, _)| name))
+        .collect();
+    listed.sort_unstable();
+    let mut present: Vec<String> = std::fs::read_dir(&dir)
+        .expect("tests/golden")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|name| name.ends_with(".snap"))
+        .collect();
+    present.sort_unstable();
+    assert_eq!(
+        present, listed,
+        "tests/golden drifted from the pinned lists"
+    );
 }
