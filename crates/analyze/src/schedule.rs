@@ -5,8 +5,9 @@
 //! *patterns* that produce nondeterminism; this module attacks the running
 //! code. Every iteration re-runs the workspace's parallel surfaces — the
 //! plain and witness-carrying min-plus kernels (sparse and dense), the
-//! sharded congested-clique engine, and periodically a loopback `ccd`
-//! burst — under a perturbed schedule: randomized thread counts, worker
+//! source-sharded hop-limited kernel with parent rows, the sharded
+//! congested-clique engine, and periodically a loopback `ccd` burst —
+//! under a perturbed schedule: randomized thread counts, worker
 //! and batch-size choices (which move the queue-pop coalescing points),
 //! client-side send jitter, and background yield-spinner threads that
 //! shuffle OS scheduling. Outputs must be **bit-identical** to a serial
@@ -27,7 +28,8 @@ use cc_clique::engine::{Engine, EngineConfig};
 use cc_clique::programs::AllGather;
 use cc_clique::NodeId;
 use cc_core::{DistOracle, DistanceMatrix, Guarantee, PointEstimate};
-use cc_graphs::{Dist, StorageKind};
+use cc_graphs::dijkstra::{hop_limited, HopLanes};
+use cc_graphs::{Dist, StorageKind, WeightedGraph};
 use cc_matrix::{DenseMatrix, MinplusWorkspace, RowBuilder, SparseMatrix};
 use cc_serve::snapshot::Oracles;
 use cc_serve::{serve, Client, ServerConfig};
@@ -60,7 +62,8 @@ impl Default for ScheduleConfig {
 pub struct ScheduleSummary {
     /// Iterations completed.
     pub iterations: u64,
-    /// Kernel comparisons performed (sparse/dense × plain/witness + engine).
+    /// Kernel comparisons performed (sparse/dense × plain/witness,
+    /// hop-limited, engine).
     pub comparisons: u64,
     /// Loopback `ccd` bursts performed.
     pub serve_bursts: u64,
@@ -70,6 +73,10 @@ pub struct ScheduleSummary {
 
 /// Matrix dimension for the kernel inputs.
 const KERNEL_N: usize = 48;
+/// Vertex count of the hop-limited kernel's input graph.
+const HOP_N: usize = 40;
+/// Hop bound of the hop-limited searches.
+const HOP_H: usize = 6;
 /// Node count for the engine program.
 const ENGINE_N: usize = 24;
 /// Vertex count for the served oracle.
@@ -88,6 +95,9 @@ struct Baseline {
     sparse_witness: (SparseMatrix, Vec<u32>),
     dense_plain: DenseMatrix,
     dense_witness: (DenseMatrix, Vec<u32>),
+    hop_graph: WeightedGraph,
+    hop_sources: Vec<usize>,
+    hop_rows: Vec<HopRows>,
     engine_words: Vec<Vec<u64>>,
     engine_collected: Vec<Vec<u64>>,
     oracle: Arc<DistOracle>,
@@ -112,6 +122,40 @@ fn seeded_inputs(seed: u64) -> (SparseMatrix, DenseMatrix) {
         }
     }
     (rb.build(), dense)
+}
+
+/// One source's hop-limited `(distance row, parent row)`.
+type HopRows = (Vec<Dist>, Vec<u32>);
+
+/// Deterministic weighted input of the hop-limited kernel: a ring plus
+/// random chords of weight below 50, and a source list with repeats.
+fn hop_inputs(seed: u64) -> (WeightedGraph, Vec<usize>) {
+    let mut rng = Xorshift::new(seed ^ 0x40b5);
+    let mut g = WeightedGraph::new(HOP_N);
+    for v in 0..HOP_N {
+        g.add_edge(v, (v + 1) % HOP_N, 1 + rng.below(3) as Dist);
+    }
+    for _ in 0..2 * HOP_N {
+        let (u, v) = (rng.below(HOP_N), rng.below(HOP_N));
+        if u != v {
+            g.add_edge(u, v, 1 + rng.below(50) as Dist);
+        }
+    }
+    let sources = (0..13).map(|_| rng.below(HOP_N)).collect();
+    (g, sources)
+}
+
+/// Every source's rows, with parents, on `threads` workers.
+fn run_hop_limited(g: &WeightedGraph, sources: &[usize], threads: usize) -> Vec<HopRows> {
+    let mut out = vec![(Vec::new(), Vec::new()); sources.len()];
+    let mut lanes = HopLanes::new(threads, true);
+    hop_limited(g, sources, HOP_H, &mut lanes, &mut out, |row, slot| {
+        *slot = (
+            row.dists().to_vec(),
+            row.parents().map(<[u32]>::to_vec).unwrap_or_default(),
+        );
+    });
+    out
 }
 
 fn engine_words(seed: u64) -> Vec<Vec<u64>> {
@@ -177,6 +221,8 @@ fn baseline(seed: u64) -> Result<Baseline, String> {
     let sparse_witness = sparse_a.minplus_with_witness(&sparse_b, &mut serial);
     let dense_plain = dense_a.minplus_with(&dense_b, &serial);
     let dense_witness = dense_a.minplus_with_witness(&dense_b, &serial);
+    let (hop_graph, hop_sources) = hop_inputs(seed);
+    let hop_rows = run_hop_limited(&hop_graph, &hop_sources, 1);
     let engine_words = engine_words(seed);
     let engine_collected = run_engine(&engine_words, 1)?;
     let (oracle, query_pairs, query_answers) = build_oracle(seed);
@@ -189,6 +235,9 @@ fn baseline(seed: u64) -> Result<Baseline, String> {
         sparse_witness,
         dense_plain,
         dense_witness,
+        hop_graph,
+        hop_sources,
+        hop_rows,
         engine_words,
         engine_collected,
         oracle,
@@ -376,6 +425,15 @@ pub fn run(cfg: &ScheduleConfig) -> ScheduleSummary {
             );
         }
 
+        let hop_threads = 1 + rng.below(max_threads);
+        if run_hop_limited(&base.hop_graph, &base.hop_sources, hop_threads) != base.hop_rows {
+            fail(
+                &mut summary,
+                "hop-limited",
+                format!("threads={hop_threads}: distance or parent rows differ from serial"),
+            );
+        }
+
         let engine_threads = 1 + rng.below(max_threads);
         match run_engine(&base.engine_words, engine_threads) {
             Ok(collected) if collected == base.engine_collected => {}
@@ -390,7 +448,7 @@ pub fn run(cfg: &ScheduleConfig) -> ScheduleSummary {
                 format!("threads={engine_threads}: {e}"),
             ),
         }
-        summary.comparisons += 5;
+        summary.comparisons += 6;
 
         if iter % SERVE_EVERY == 0 {
             summary.serve_bursts += 1;
@@ -430,6 +488,7 @@ mod tests {
         let b = baseline(42).expect("baseline");
         assert_eq!(a.sparse_plain, b.sparse_plain);
         assert_eq!(a.dense_witness, b.dense_witness);
+        assert_eq!(a.hop_rows, b.hop_rows);
         assert_eq!(a.engine_collected, b.engine_collected);
         assert_eq!(a.query_answers, b.query_answers);
     }

@@ -214,7 +214,16 @@ pub(crate) fn run_mode(
         if let Some(p) = paths.as_mut() {
             p.absorb_routes(hs.routes.as_ref().expect("hopset built with paths"));
         }
-        detect_sources(g, &hs, g, &s_pivots, &mut delta, paths.as_mut(), &mut phase);
+        detect_sources(
+            g,
+            &hs,
+            g,
+            &s_pivots,
+            threads,
+            &mut delta,
+            paths.as_mut(),
+            &mut phase,
+        );
         let sets: Vec<Vec<usize>> = vec![s_pivots.clone(); n];
         merge_through_sets(n, &sets, &mut delta, paths.as_mut(), &mut phase);
     }
@@ -292,6 +301,7 @@ pub(crate) fn run_mode(
             hs,
             &gp,
             &a_pivots,
+            threads,
             &mut delta,
             paths.as_mut(),
             &mut phase,
@@ -301,49 +311,28 @@ pub(crate) fn run_mode(
         for &a in &a_pivots {
             a_mask[a] = true;
         }
+        let mut changed = Vec::new();
         for u in 0..n {
             if let Some((a, _)) = kn.nearest_in(u, &a_mask) {
                 let a = a as usize;
-                let via = delta.get(u, a);
-                if via >= INF {
-                    continue;
+                if let Some(p) = paths.as_mut() {
+                    offer_via_row(p, &delta, u, a);
                 }
-                for v in 0..n {
-                    if v != u {
-                        let leg = delta.get(a, v);
-                        if leg < INF {
-                            delta.improve_via(u, v, via, leg);
-                            if let Some(p) = paths.as_mut() {
-                                p.offer_via(u, v, dadd(via, leg), a);
-                            }
-                        }
-                    }
-                }
+                delta.fold_via(u, a, &mut changed);
             }
         }
     }
 
     // Steps 8–11: A' hits the neighborhoods of high-G'-degree vertices;
     // route through list-attached A'-members (Case 3a).
-    let thresh2 = (n / (k * k)).max(1);
-    let big_sets: Vec<Vec<usize>> = (0..n)
-        .filter(|&v| gp.degree(v) >= thresh2)
-        .map(|v| gp.neighbors(v).iter().map(|&u| u as usize).collect())
-        .collect();
-    let a2_pivots = substrates.hitting_set_for(
-        "apsp2/low-degree-A2",
-        n,
-        thresh2,
-        &big_sets,
-        &mut mode,
-        &mut phase,
-    )?;
+    let (thresh2, a2_pivots) = attachment_pivots(&gp, k, substrates, &mut mode, &mut phase)?;
     if let (Some(hs), false) = (&gp_hopset, a2_pivots.is_empty()) {
         detect_sources(
             g,
             hs,
             &gp,
             &a2_pivots,
+            threads,
             &mut delta,
             paths.as_mut(),
             &mut phase,
@@ -371,29 +360,25 @@ pub(crate) fn run_mode(
             a2_pivots.len() as u64,
             n as u64,
         );
+        // The fold reads estimates lowered for earlier `u`, so it stays
+        // sequential over `u` and over `w ∈ A'_u` rather than becoming a
+        // product over a snapshot of `delta`.
+        let mut a_u: Vec<usize> = Vec::new();
+        let mut changed = Vec::new();
         for u in 0..n {
-            let mut a_u: Vec<usize> = kn_sets[u]
-                .iter()
-                .filter_map(|&v| attachment[v].map(|w| w as usize))
-                .collect();
+            a_u.clear();
+            a_u.extend(
+                kn_sets[u]
+                    .iter()
+                    .filter_map(|&v| attachment[v].map(|w| w as usize)),
+            );
             a_u.sort_unstable();
             a_u.dedup();
-            for w in a_u {
-                let via = delta.get(u, w);
-                if via >= INF {
-                    continue;
+            for &w in &a_u {
+                if let Some(p) = paths.as_mut() {
+                    offer_via_row(p, &delta, u, w);
                 }
-                for v in 0..n {
-                    if v != u {
-                        let leg = delta.get(w, v);
-                        if leg < INF {
-                            delta.improve_via(u, v, via, leg);
-                            if let Some(p) = paths.as_mut() {
-                                p.offer_via(u, v, dadd(via, leg), w);
-                            }
-                        }
-                    }
-                }
+                delta.fold_via(u, w, &mut changed);
             }
         }
     }
@@ -477,36 +462,81 @@ pub(crate) fn run_mode(
     })
 }
 
+/// Steps 8–9: the `G'`-degree threshold `max(n/k², 1)` and the pivot set
+/// `A'` hitting the `G'`-neighbourhoods of vertices at or above it. At
+/// benchmark scale (`k ≈ n^{1/4}·ln n`) `k² > n`, so the threshold clamps
+/// to 1, every vertex with a `G'`-edge is "high-degree", and the
+/// randomized hitting set samples with probability 1: `A'` is every
+/// vertex, and Case 3a runs source detection from all of them.
+fn attachment_pivots(
+    gp: &Graph,
+    k: usize,
+    substrates: &mut Substrates,
+    mode: &mut Mode<'_>,
+    ledger: &mut RoundLedger,
+) -> Result<(usize, Vec<usize>), CcError> {
+    let n = gp.n();
+    let thresh2 = (n / (k * k)).max(1);
+    let big_sets: Vec<Vec<usize>> = (0..n)
+        .filter(|&v| gp.degree(v) >= thresh2)
+        .map(|v| gp.neighbors(v).iter().map(|&u| u as usize).collect())
+        .collect();
+    let a2_pivots =
+        substrates.hitting_set_for("apsp2/low-degree-A2", n, thresh2, &big_sets, mode, ledger)?;
+    Ok((thresh2, a2_pivots))
+}
+
 /// `β`-hop source detection from `sources` over `base ∪ H` (`hs`), folded
 /// into `delta`. When recording, each improvement is shadowed by the
 /// detection walk behind it: the chains step over `base ∪ H`, and hopset
 /// hops resolve against the routes the store already absorbed from `hs`.
+/// Values are lowered row by row from the source-major rows; the witness
+/// offers walk `(v, i)` vertex-major, because the first of several equal
+/// offers wins a pair's slot.
+#[allow(clippy::too_many_arguments)]
 fn detect_sources(
     g: &Graph,
     hs: &BoundedHopset,
     base: &Graph,
     sources: &[usize],
+    threads: usize,
     delta: &mut DistanceMatrix,
-    mut paths: Option<&mut PathStore>,
+    paths: Option<&mut PathStore>,
     ledger: &mut RoundLedger,
 ) {
     let union = hs.union_with(base);
-    let sd = match paths {
-        Some(_) => SourceDetection::run_with_parents(&union, sources, hs.beta, ledger),
-        None => SourceDetection::run(&union, sources, hs.beta, ledger),
+    let sd = SourceDetection::run_with(&union, sources, hs.beta, threads, paths.is_some(), ledger);
+    let mut changed = Vec::new();
+    for (i, &s) in sources.iter().enumerate() {
+        delta.improve_row(s, sd.source_row(i), &mut changed);
+    }
+    let Some(p) = paths else {
+        return;
     };
+    let mut chain = Vec::new();
     for v in 0..g.n() {
         for (i, &s) in sources.iter().enumerate() {
             let d = sd.dist_to_source_index(v, i);
-            if d < INF {
-                delta.improve(v, s, d);
-                if let Some(p) = paths.as_deref_mut() {
-                    if let Some(chain) = sd.chain(i, v) {
-                        let chain: Vec<u32> = chain.into_iter().map(|x| x as u32).collect();
-                        p.offer_walk(g, d, &chain);
-                    }
-                }
+            // `offer_walk` rejects a walk that does not improve the pair;
+            // skip walking its chain.
+            if v != s && d < p.value(s, v) && sd.chain_into(i, v, &mut chain) {
+                p.offer_walk(g, d, &chain);
             }
+        }
+    }
+}
+
+/// The witness offers of one `fold_via(u, w)`: the midpoint `w` at
+/// `δ(u,w) + δ(w,v)` for every finite leg, in `v` order, read before the
+/// fold (the fold never writes row `w`).
+fn offer_via_row(p: &mut PathStore, delta: &DistanceMatrix, u: usize, w: usize) {
+    let via = delta.get(u, w);
+    if via >= INF {
+        return;
+    }
+    for (v, &leg) in delta.row(w).iter().enumerate() {
+        if v != u && leg < INF {
+            p.offer_via(u, v, dadd(via, leg), w);
         }
     }
 }
@@ -643,6 +673,31 @@ mod tests {
             report.max_multiplicative,
             out.short_range_guarantee
         );
+    }
+
+    /// Pins the regime the `solve-grid` benchmark measures: on
+    /// `grid(32,32)` at the benchmark-scale profile, the Case 3a threshold
+    /// clamps to 1 and `A'` is every vertex, so Case 3a source detection
+    /// runs from all 1024 of them. A parameter change that leaves this
+    /// regime must fail here, not silently change the benchmark.
+    #[test]
+    fn bench_scale_grid_runs_case3a_from_every_vertex() {
+        let g = generators::grid(32, 32);
+        let cfg = Apsp2Config::scaled(g.n(), 0.25).unwrap();
+        let gp = g.low_degree_subgraph(cfg.high_degree_threshold);
+        assert_eq!(gp.m(), g.m(), "every grid edge is low-degree");
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let mut ledger = RoundLedger::new(g.n());
+        let (thresh2, a2) = attachment_pivots(
+            &gp,
+            cfg.k,
+            &mut Substrates::new(),
+            &mut Mode::Rng(&mut rng),
+            &mut ledger,
+        )
+        .unwrap();
+        assert_eq!(thresh2, 1, "k = {}", cfg.k);
+        assert_eq!(a2, (0..g.n()).collect::<Vec<_>>());
     }
 
     #[test]

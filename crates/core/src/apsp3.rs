@@ -217,25 +217,25 @@ pub(crate) fn run_mode(
             &mut phase,
         );
         let union = hs.union_with(g);
-        let sd = match &paths {
-            Some(_) => SourceDetection::run_with_parents(&union, &pivots, hs.beta, &mut phase),
-            None => SourceDetection::run(&union, &pivots, hs.beta, &mut phase),
-        };
+        let sd = SourceDetection::run_with(
+            &union,
+            &pivots,
+            hs.beta,
+            cfg.emulator.threads,
+            paths.is_some(),
+            &mut phase,
+        );
         if let Some(p) = paths.as_mut() {
             p.absorb_routes(hs.routes.as_ref().expect("hopset built with paths"));
         }
+        let mut chain = Vec::new();
         for v in 0..n {
             for (i, &a) in pivots.iter().enumerate() {
                 let d = sd.dist_to_source_index(v, i);
                 if d < INF {
                     delta.improve(v, a, d);
                     if let Some(p) = paths.as_mut() {
-                        let chain: Vec<u32> = sd
-                            .chain(i, v)
-                            .expect("detected pair has a chain")
-                            .into_iter()
-                            .map(|x| x as u32)
-                            .collect();
+                        assert!(sd.chain_into(i, v, &mut chain), "detected pair has a chain");
                         p.offer_walk(g, d, &chain);
                     }
                 }

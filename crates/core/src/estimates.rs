@@ -76,6 +76,52 @@ impl DistanceMatrix {
         self.improve(u, v, dadd(a, b));
     }
 
+    /// Routes `u` through `w`: `δ(u,v) ← min(δ(u,v), δ(u,w) + δ(w,v))` for
+    /// every `v`, exactly the [`DistanceMatrix::improve_via`] loop over
+    /// `v` (the diagonal is 0 and the sum saturates, so `v ∈ {u, w}` and
+    /// ∞ legs never change anything). Row `w` is read whole and row `u`
+    /// folded in one contiguous pass; the changed entries are collected in
+    /// `changed` and mirrored into column `u` afterwards. Row `w` is not
+    /// written by the fold, so the result equals the interleaved loop.
+    pub(crate) fn fold_via(&mut self, u: usize, w: usize, changed: &mut Vec<u32>) {
+        let n = self.n;
+        let via = self.get(u, w);
+        changed.clear();
+        if u == w || via >= INF {
+            return;
+        }
+        let (row_u, row_w) = if u < w {
+            let (lo, hi) = self.data.split_at_mut(w * n);
+            (&mut lo[u * n..(u + 1) * n], &hi[..n])
+        } else {
+            let (lo, hi) = self.data.split_at_mut(u * n);
+            (&mut hi[..n], &lo[w * n..(w + 1) * n])
+        };
+        lower_row(row_u, via, row_w, changed);
+        self.mirror(u, changed);
+    }
+
+    /// `δ(u,v) ← min(δ(u,v), cand[v])` for every `v` (and symmetrically),
+    /// the [`DistanceMatrix::improve`] loop over a whole candidate row
+    /// (entries ≤ INF), read against the contiguous row `u` instead of
+    /// column `u`. `changed` is scratch, as in
+    /// [`DistanceMatrix::fold_via`].
+    pub(crate) fn improve_row(&mut self, u: usize, cand: &[Dist], changed: &mut Vec<u32>) {
+        let n = self.n;
+        changed.clear();
+        lower_row(&mut self.data[u * n..(u + 1) * n], 0, cand, changed);
+        self.mirror(u, changed);
+    }
+
+    /// Copies the `changed` entries of row `u` into column `u`.
+    fn mirror(&mut self, u: usize, changed: &[u32]) {
+        let n = self.n;
+        for &v in changed {
+            let v = v as usize;
+            self.data[v * n + u] = self.data[u * n + v];
+        }
+    }
+
     /// Merges another matrix pointwise. Both operands are symmetric, so the
     /// element-wise pass needs no per-entry branch or mirrored second write:
     /// `min` compiles to branch-free selects over the flat arrays.
@@ -151,6 +197,35 @@ impl DistanceMatrix {
     }
 }
 
+/// Width of the change-detection blocks of [`lower_row`].
+const BLOCK: usize = 16;
+
+/// `row[v] ← min(row[v], dadd(via, cand[v]))`, pushing every changed `v`
+/// onto `changed` in increasing order. Each block is first tested with a
+/// branch-free pass (changes are rare) and only rescanned when it holds
+/// one. Needs `via < INF` and every entry ≤ INF: sums then stay below
+/// `u32::MAX`, and a sum ≥ INF can never undercut an entry, so the plain
+/// sum decides exactly as the saturating one would.
+fn lower_row(row: &mut [Dist], via: Dist, cand: &[Dist], changed: &mut Vec<u32>) {
+    debug_assert!(via < INF && row.len() == cand.len());
+    let mut base = 0u32;
+    for (r, c) in row.chunks_mut(BLOCK).zip(cand.chunks(BLOCK)) {
+        let hit = r
+            .iter()
+            .zip(c)
+            .fold(false, |hit, (&cur, &leg)| hit | (via + leg < cur));
+        if hit {
+            for (v, (cur, &leg)) in r.iter_mut().zip(c).enumerate() {
+                if via + leg < *cur {
+                    *cur = via + leg;
+                    changed.push(base + v as u32);
+                }
+            }
+        }
+        base += BLOCK as u32;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,6 +256,74 @@ mod tests {
         assert_eq!(m.get(0, 1), INF);
         m.improve_via(0, 1, 2, 3);
         assert_eq!(m.get(0, 1), 5);
+    }
+
+    #[test]
+    fn fold_via_matches_the_improve_via_loop() {
+        // A small symmetric table with some ∞ legs and a saturating pair.
+        let n = 6;
+        let mut base = DistanceMatrix::new(n);
+        let entries = [
+            (0, 1, 4),
+            (0, 2, 9),
+            (1, 2, 2),
+            (1, 3, 7),
+            (2, 4, 1),
+            (3, 5, INF - 1),
+        ];
+        for (u, v, d) in entries {
+            base.improve(u, v, d);
+        }
+        let mut changed = Vec::new();
+        for u in 0..n {
+            for w in 0..n {
+                let mut want = base.clone();
+                let via = want.get(u, w);
+                if via < INF {
+                    for v in 0..n {
+                        let leg = want.get(w, v);
+                        if v != u && leg < INF {
+                            want.improve_via(u, v, via, leg);
+                        }
+                    }
+                }
+                let mut got = base.clone();
+                got.fold_via(u, w, &mut changed);
+                assert_eq!(got, want, "u={u} w={w}");
+                got.debug_assert_symmetric();
+            }
+        }
+    }
+
+    #[test]
+    fn improve_row_matches_the_improve_loop() {
+        // Wider than two change-detection blocks: two changes in the first
+        // block, one alone in the second block's last lane, one in the
+        // short tail block, and a candidate that loses.
+        let n = 40;
+        let mut base = DistanceMatrix::new(n);
+        for v in 1..n {
+            base.improve(0, v, 3 * v as Dist);
+        }
+        let mut cand = vec![INF; n];
+        for (v, d) in [(3, 4), (7, 2), (31, 1), (35, 9), (0, 20)] {
+            cand[v] = d;
+        }
+        let mut want = base.clone();
+        for (v, &d) in cand.iter().enumerate() {
+            if d < INF {
+                want.improve(v, 5, d);
+            }
+        }
+        let lowered: Vec<u32> = (0..n as u32)
+            .filter(|&v| want.get(5, v as usize) != base.get(5, v as usize))
+            .collect();
+        assert_eq!(lowered, vec![3, 7, 31, 35]);
+        let mut changed = Vec::new();
+        base.improve_row(5, &cand, &mut changed);
+        assert_eq!(base, want);
+        assert_eq!(changed, lowered);
+        base.debug_assert_symmetric();
     }
 
     #[test]

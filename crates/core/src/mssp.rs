@@ -268,13 +268,18 @@ pub(crate) fn run_mode(
         &mut phase,
     );
     let union = hs.union_with(g);
-    let sd = match &paths {
-        Some(_) => SourceDetection::run_with_parents(&union, sources, hs.beta, &mut phase),
-        None => SourceDetection::run(&union, sources, hs.beta, &mut phase),
-    };
+    let sd = SourceDetection::run_with(
+        &union,
+        sources,
+        hs.beta,
+        cfg.emulator.threads,
+        paths.is_some(),
+        &mut phase,
+    );
     if let Some(store) = paths.as_mut() {
         store.absorb_routes(hs.routes.as_ref().expect("hopset built with paths"));
     }
+    let mut chain = Vec::new();
     for (i, row) in estimates.iter_mut().enumerate() {
         for (v, est) in row.iter_mut().enumerate() {
             let short = sd.dist_to_source_index(v, i);
@@ -283,12 +288,7 @@ pub(crate) fn run_mode(
             }
             if short < INF {
                 if let Some(store) = paths.as_mut() {
-                    let chain: Vec<u32> = sd
-                        .chain(i, v)
-                        .expect("detected pair has a chain")
-                        .into_iter()
-                        .map(|x| x as u32)
-                        .collect();
+                    assert!(sd.chain_into(i, v, &mut chain), "detected pair has a chain");
                     store.offer_walk(g, i, short, &chain);
                 }
             }

@@ -942,22 +942,46 @@ mod tests {
     #[test]
     fn threaded_sessions_are_bit_identical() {
         // The threads knob is wall-clock only: estimates AND charged rounds
-        // must match the serial session exactly.
+        // must match the serial session exactly — and, when recording, so
+        // must every interned walk (the frozen route snapshot's bytes).
         let g = generators::caveman(6, 6);
-        let run = |threads: usize| {
+        let run = |threads: usize, record: bool| {
             let mut solver = SolverBuilder::new(g.clone())
                 .eps(0.5)
                 .execution(Execution::Seeded(9))
                 .threads(threads)
+                .record_paths(record)
                 .build()
                 .unwrap();
             let apsp = solver.apsp_2eps().unwrap();
+            let apsp3 = solver.apsp_3eps().unwrap();
             let mssp = solver.mssp(&[0, 14, 28]).unwrap();
-            (apsp.estimates, mssp.estimates, solver.total_rounds())
+            let mut routes = Vec::new();
+            if record {
+                solver
+                    .freeze_with_paths()
+                    .unwrap()
+                    .save_v2(&mut routes)
+                    .unwrap();
+            }
+            (
+                apsp.estimates,
+                apsp3.estimates,
+                mssp.estimates,
+                solver.total_rounds(),
+                routes,
+            )
         };
-        let serial = run(1);
-        for threads in [2, 4] {
-            assert_eq!(run(threads), serial, "threads = {threads}");
+        for record in [false, true] {
+            let serial = run(1, record);
+            assert_eq!(serial.4.is_empty(), !record);
+            for threads in [2, 4] {
+                assert_eq!(
+                    run(threads, record),
+                    serial,
+                    "threads = {threads}, record_paths = {record}"
+                );
+            }
         }
         let solver = SolverBuilder::new(g).threads(3).build().unwrap();
         assert_eq!(solver.threads(), 3);

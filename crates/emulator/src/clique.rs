@@ -43,8 +43,9 @@ pub struct CliqueEmulatorConfig {
     /// paper-constant one.
     pub scaled_hopset: bool,
     /// Worker threads for the local `(k,d)`-nearest and hopset computations
-    /// (`0` and `1` both mean serial). Purely wall-clock: the constructed
-    /// emulator and the rounds charged are identical at any thread count.
+    /// and the top-level source detection (`0` and `1` both mean serial).
+    /// Purely wall-clock: the constructed emulator and the rounds charged
+    /// are identical at any thread count.
     pub threads: usize,
     /// Record per-edge provenance ([`Emulator::routes`]) so every emulator
     /// edge unrolls into a real walk in `G`. Purely local witness
@@ -221,23 +222,27 @@ pub(crate) fn build_with_levels_and_kn(
             r.absorb(hr);
         }
         let union = hs.union_with(g);
-        let sd = match &routes {
-            Some(_) => SourceDetection::run_with_parents(&union, &sr, hs.beta, ledger),
-            None => SourceDetection::run(&union, &sr, hs.beta, ledger),
-        };
+        // Only the S_r × S_r block is read.
+        let sd = SourceDetection::run_among(
+            &union,
+            &sr,
+            hs.beta,
+            config.threads,
+            routes.is_some(),
+            ledger,
+        );
         let threshold = ((1.0 + config.eps_prime) * t as f64).ceil() as Dist;
+        let mut chain = Vec::new();
         for &v in &sr {
             for (i, &s) in sr.iter().enumerate() {
                 let d = sd.dist_to_source_index(v, i);
                 if s != v && d < cc_graphs::INF && d <= threshold {
                     add(v, s, d);
                     if let Some(r) = routes.as_mut() {
-                        let chain: Vec<u32> = sd
-                            .chain(i, v)
-                            .expect("detected pair has a parent chain")
-                            .into_iter()
-                            .map(|x| x as u32)
-                            .collect();
+                        assert!(
+                            sd.chain_into(i, v, &mut chain),
+                            "detected pair has a parent chain"
+                        );
                         let rec = r
                             .intern_walk(g, &chain)
                             .expect("detection hops are G or hopset edges");

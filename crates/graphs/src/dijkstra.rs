@@ -1,5 +1,12 @@
 //! Shortest paths on weighted graphs: Dijkstra and hop-limited
 //! Bellman–Ford (the computation behind `(S,d)`-source detection).
+//!
+//! [`hop_limited`] is the one hop-limited kernel of the workspace. It runs
+//! one synchronous-hop search per source, sharded over worker threads,
+//! and hands each source's finished row to the caller **source-major**:
+//! row `i` belongs to `sources[i]`, and a parent row rides along when the
+//! [`HopLanes`] track parents. Callers keep a full row, a subset, or a
+//! reduction of it.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -148,150 +155,280 @@ pub fn path_from_parents(parent: &[Option<u32>], src: usize, dst: usize) -> Opti
     None
 }
 
-/// `h`-hop-limited distances from every vertex to every source: result
-/// `dist[v][i]` is the length of the shortest path from `v` to `sources[i]`
-/// using at most `h` edges of `g` (`INF` if none).
+/// Reusable per-worker scratch and worker count for [`hop_limited`].
 ///
-/// This is the centralized computation performed by the `(S,d)`-source
-/// detection primitive of Thm 11; the round cost is charged separately by the
-/// caller.
-pub fn hop_limited_from_sources(g: &WeightedGraph, sources: &[usize], h: usize) -> Vec<Vec<Dist>> {
-    let n = g.n();
-    let s = sources.len();
-    // dist[v][i]; computed per source with its own frontier (sources are
-    // independent, and per-source frontiers settle much faster in practice
-    // than a joint sweep).
-    let mut dist = vec![vec![INF; s]; n];
-    let mut cur: Vec<Dist> = Vec::new();
-    for (i, &src) in sources.iter().enumerate() {
-        cur.clear();
-        cur.resize(n, INF);
-        cur[src] = 0;
-        // Frontier entries carry the distance at enqueue time so that a
-        // value improved during hop j only propagates at hop j+1 (strict
-        // synchronous hop semantics).
-        let mut frontier: Vec<(usize, Dist)> = vec![(src, 0)];
-        let mut slot = vec![usize::MAX; n];
+/// One lane per worker holds a distance row, an optional parent row, the
+/// frontier/next-frontier lists and the dedup slots of the synchronous-hop
+/// sweep. The calling thread grows the lanes (the `MinplusWorkspace`
+/// discipline of `cc_matrix`), so workers never allocate; between sources
+/// every lane is restored to all-∞ / no-parent / no-slot, so a lane is
+/// reused across sources, calls and hop bounds.
+#[derive(Debug)]
+pub struct HopLanes {
+    threads: usize,
+    parents: bool,
+    lanes: Vec<HopLane>,
+}
+
+#[derive(Debug, Default)]
+struct HopLane {
+    dist: Vec<Dist>,
+    /// Empty unless the lanes track parents.
+    parent: Vec<u32>,
+    /// Position of a vertex in `next`, or `u32::MAX`.
+    slot: Vec<u32>,
+    frontier: Vec<(u32, Dist)>,
+    next: Vec<(u32, Dist)>,
+}
+
+impl HopLanes {
+    /// Lanes for `threads` workers (`0` and `1` both mean serial), with
+    /// per-source parent rows when `parents` is set.
+    pub fn new(threads: usize, parents: bool) -> Self {
+        HopLanes {
+            threads: threads.max(1),
+            parents,
+            lanes: Vec::new(),
+        }
+    }
+
+    /// Whether searches record parents.
+    pub fn parents(&self) -> bool {
+        self.parents
+    }
+
+    /// `count` lanes, each grown to `n` vertices.
+    fn lanes(&mut self, count: usize, n: usize) -> &mut [HopLane] {
+        if self.lanes.len() < count {
+            self.lanes.resize_with(count, HopLane::default);
+        }
+        for lane in &mut self.lanes[..count] {
+            if lane.dist.len() < n {
+                lane.dist.resize(n, INF);
+                lane.slot.resize(n, u32::MAX);
+            }
+            if self.parents && lane.parent.len() < n {
+                lane.parent.resize(n, u32::MAX);
+            }
+        }
+        &mut self.lanes[..count]
+    }
+}
+
+impl HopLane {
+    /// The synchronous-hop sweep from `src`: frontier entries carry the
+    /// distance at enqueue time, so a value improved during hop `j` only
+    /// propagates at hop `j+1`.
+    fn sweep(&mut self, g: &WeightedGraph, src: usize, h: usize) {
+        let HopLane {
+            dist,
+            parent,
+            slot,
+            frontier,
+            next,
+        } = self;
+        let track = !parent.is_empty();
+        dist[src] = 0;
+        frontier.clear();
+        frontier.push((src as u32, 0));
         for _hop in 0..h {
-            let mut next: Vec<(usize, Dist)> = Vec::new();
-            for &(u, du) in &frontier {
-                for &(v, w) in g.neighbors(u) {
-                    let v = v as usize;
-                    let nd = dadd(du, w);
-                    if nd < cur[v] {
-                        cur[v] = nd;
-                        if slot[v] == usize::MAX {
-                            slot[v] = next.len();
-                            next.push((v, nd));
-                        } else {
-                            next[slot[v]].1 = nd;
+            next.clear();
+            for &(u, du) in frontier.iter() {
+                // `dadd` without its clamp: every `dist` entry is ≤ INF, so a
+                // sum ≥ INF never passes the test, and a passing sum equals
+                // its clamped value.
+                let mut relax = |v: u32, w: Dist, dist: &mut [Dist]| {
+                    let vi = v as usize;
+                    let nd = du.saturating_add(w);
+                    if nd < dist[vi] {
+                        dist[vi] = nd;
+                        if track {
+                            parent[vi] = u;
+                        }
+                        match slot[vi] {
+                            u32::MAX => {
+                                slot[vi] = next.len() as u32;
+                                next.push((v, nd));
+                            }
+                            s => next[s as usize].1 = nd,
                         }
                     }
+                };
+                // Improvements are rare: one branch tests four edges, and
+                // only a block holding an improvement is relaxed edge by
+                // edge, in order.
+                let (blocks, rest) = g.neighbors(u as usize).as_chunks::<4>();
+                for block in blocks {
+                    let [(v0, w0), (v1, w1), (v2, w2), (v3, w3)] = *block;
+                    let hit = (du.saturating_add(w0) < dist[v0 as usize])
+                        | (du.saturating_add(w1) < dist[v1 as usize])
+                        | (du.saturating_add(w2) < dist[v2 as usize])
+                        | (du.saturating_add(w3) < dist[v3 as usize]);
+                    if hit {
+                        for &(v, w) in block {
+                            relax(v, w, dist);
+                        }
+                    }
+                }
+                for &(v, w) in rest {
+                    relax(v, w, dist);
                 }
             }
             if next.is_empty() {
                 break;
             }
-            for &(v, _) in &next {
-                slot[v] = usize::MAX;
+            for &(v, _) in next.iter() {
+                slot[v as usize] = u32::MAX;
             }
-            frontier = next;
-        }
-        for (v, row) in dist.iter_mut().enumerate() {
-            row[i] = cur[v];
+            std::mem::swap(frontier, next);
         }
     }
-    dist
+
+    /// The finished row over the first `n` vertices.
+    fn row(&self, n: usize) -> HopRow<'_> {
+        HopRow {
+            dist: &self.dist[..n],
+            parent: (!self.parent.is_empty()).then(|| &self.parent[..n]),
+        }
+    }
+
+    /// Restores the between-sources invariant (all-∞, no parents).
+    fn reset(&mut self, n: usize) {
+        self.dist[..n].fill(INF);
+        if !self.parent.is_empty() {
+            self.parent[..n].fill(u32::MAX);
+        }
+    }
 }
 
-/// [`hop_limited_from_sources`] with per-source predecessor tracking:
-/// additionally returns `parents[i][v]`, the predecessor of `v` on the
-/// hop-limited search from `sources[i]` (`u32::MAX` for the source itself
-/// and unreached vertices).
+/// One source's finished hop-limited search, handed to the `emit` callback
+/// of [`hop_limited`]. Borrowed from a worker lane: copy out what is kept.
+#[derive(Clone, Copy, Debug)]
+pub struct HopRow<'a> {
+    dist: &'a [Dist],
+    parent: Option<&'a [u32]>,
+}
+
+impl<'a> HopRow<'a> {
+    /// `dists()[v]`: length of the shortest `≤ h`-edge path from the source
+    /// to `v` ([`INF`] if none).
+    pub fn dists(&self) -> &'a [Dist] {
+        self.dist
+    }
+
+    /// `parents()[v]`: predecessor of `v` on the search (`u32::MAX` for the
+    /// source and unreached vertices); `None` unless the lanes track
+    /// parents.
+    pub fn parents(&self) -> Option<&'a [u32]> {
+        self.parent
+    }
+}
+
+/// `h`-hop-limited multi-source Bellman–Ford: for every `sources[i]`, the
+/// length of the shortest path to each vertex using at most `h` edges of
+/// `g`, computed with strict synchronous-hop semantics. This is the
+/// centralized computation behind `(S,d)`-source detection (Thm 11); round
+/// costs are charged by the caller.
 ///
-/// Walking the parent chain from `v` back to the source yields a real walk
-/// in `g`; because every parent assignment strictly lowered the tentative
-/// distance, distances strictly decrease along the chain (so it terminates
-/// at the source) and the walk's weight is **at most** `dist[v][i]` — late
-/// relaxations can only shorten the recorded prefix.
-pub fn hop_limited_from_sources_with_parents(
+/// Output is **source-major**: each source's finished row (plus its parent
+/// row when `lanes` track parents) is passed to `emit` together with
+/// `out[i]`, which keeps whatever the caller reads (a full row, a subset,
+/// a reduction). `out` is allocated by the caller and has one slot per
+/// source.
+///
+/// Sources are sharded into contiguous ranges over the lanes' worker
+/// count (the calling thread runs the first range). Every source is searched
+/// alone, in the same relaxation order, on a lane restored to the same
+/// state, so the rows — and hence `out` — are **bit-identical** at any
+/// thread count.
+///
+/// Parent rows: every parent assignment strictly lowered the tentative
+/// distance, so distances strictly decrease along a parent chain (it
+/// terminates at the source, see [`hop_chain_into`]) and the chain's walk
+/// weighs **at most** the reported distance — late relaxations can only
+/// shorten the recorded prefix.
+///
+/// # Panics
+///
+/// Panics if `out.len() != sources.len()` or a source is out of range.
+pub fn hop_limited<T, F>(
     g: &WeightedGraph,
     sources: &[usize],
     h: usize,
-) -> (Vec<Vec<Dist>>, Vec<Vec<u32>>) {
+    lanes: &mut HopLanes,
+    out: &mut [T],
+    emit: F,
+) where
+    T: Send,
+    F: Fn(HopRow<'_>, &mut T) + Sync,
+{
+    assert_eq!(out.len(), sources.len(), "one output slot per source");
     let n = g.n();
-    let s = sources.len();
-    let mut dist = vec![vec![INF; s]; n];
-    let mut parents: Vec<Vec<u32>> = vec![vec![u32::MAX; n]; s];
-    let mut cur: Vec<Dist> = Vec::new();
-    for (i, &src) in sources.iter().enumerate() {
-        cur.clear();
-        cur.resize(n, INF);
-        cur[src] = 0;
-        let parent = &mut parents[i];
-        let mut frontier: Vec<(usize, Dist)> = vec![(src, 0)];
-        let mut slot = vec![usize::MAX; n];
-        for _hop in 0..h {
-            let mut next: Vec<(usize, Dist)> = Vec::new();
-            for &(u, du) in &frontier {
-                for &(v, w) in g.neighbors(u) {
-                    let v = v as usize;
-                    let nd = dadd(du, w);
-                    if nd < cur[v] {
-                        cur[v] = nd;
-                        parent[v] = u as u32;
-                        if slot[v] == usize::MAX {
-                            slot[v] = next.len();
-                            next.push((v, nd));
-                        } else {
-                            next[slot[v]].1 = nd;
-                        }
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            for &(v, _) in &next {
-                slot[v] = usize::MAX;
-            }
-            frontier = next;
+    assert!(
+        sources.iter().all(|&s| s < n),
+        "source out of range for n = {n}"
+    );
+    let threads = lanes.threads.clamp(1, sources.len().max(1));
+    let shard = sources.len().div_ceil(threads).max(1);
+    let lanes = lanes.lanes(threads, n);
+    let run = |srcs: &[usize], outs: &mut [T], lane: &mut HopLane| {
+        for (&src, slot) in srcs.iter().zip(outs) {
+            lane.sweep(g, src, h);
+            emit(lane.row(n), slot);
+            lane.reset(n);
         }
-        for (v, row) in dist.iter_mut().enumerate() {
-            row[i] = cur[v];
+    };
+    let mut parts = sources
+        .chunks(shard)
+        .zip(out.chunks_mut(shard))
+        .zip(lanes.iter_mut());
+    let Some(((first_srcs, first_outs), first_lane)) = parts.next() else {
+        return;
+    };
+    std::thread::scope(|scope| {
+        for ((srcs, outs), lane) in parts {
+            scope.spawn(move || run(srcs, outs, lane));
         }
-    }
-    (dist, parents)
+        run(first_srcs, first_outs, first_lane);
+    });
 }
 
-/// Walks a hop-limited parent row back from `v`, returning the vertex
-/// sequence `src, …, v` (`None` when `v` was not reached or `parents` is
-/// inconsistent).
-pub fn chain_from_hop_parents(parents: &[u32], src: usize, v: usize) -> Option<Vec<usize>> {
-    if src == v {
-        return Some(vec![src]);
-    }
-    let mut chain = vec![v];
+/// Walks a hop-limited parent row back from `v`, writing the vertex
+/// sequence `src, …, v` into `out` (cleared first). Returns `false` — with
+/// `out` unspecified — when `v` was not reached or `parents` is
+/// inconsistent.
+pub fn hop_chain_into(parents: &[u32], src: usize, v: usize, out: &mut Vec<u32>) -> bool {
+    out.clear();
+    out.push(v as u32);
     let mut cur = v;
-    while parents[cur] != u32::MAX {
-        cur = parents[cur] as usize;
-        chain.push(cur);
-        if cur == src {
-            chain.reverse();
-            return Some(chain);
+    while cur != src {
+        let p = parents[cur];
+        if p == u32::MAX || out.len() > parents.len() {
+            return false; // unreached, or a cycle (corrupt parent row)
         }
-        if chain.len() > parents.len() {
-            return None; // cycle guard (corrupt parent array)
-        }
+        cur = p as usize;
+        out.push(p);
     }
-    None
+    out.reverse();
+    true
 }
 
 /// `h`-hop-limited single-pair check: length of the shortest `≤ h`-edge path
 /// between `u` and `v` (`INF` if none). `O(h·m)`; used by tests to verify
 /// hopset guarantees.
 pub fn hop_limited_pair(g: &WeightedGraph, u: usize, v: usize, h: usize) -> Dist {
-    hop_limited_from_sources(g, &[u], h)[v][0]
+    let mut out = [INF];
+    hop_limited(
+        g,
+        &[u],
+        h,
+        &mut HopLanes::new(1, false),
+        &mut out,
+        |row, d| {
+            *d = row.dists()[v];
+        },
+    );
+    out[0]
 }
 
 #[cfg(test)]
@@ -334,17 +471,34 @@ mod tests {
         assert_eq!(hop_limited_pair(&iso, 0, 3, 5), INF);
     }
 
+    /// Full `(dist, parent)` rows per source (parent rows empty unless
+    /// tracked).
+    fn rows(
+        g: &WeightedGraph,
+        sources: &[usize],
+        h: usize,
+        threads: usize,
+        parents: bool,
+    ) -> Vec<(Vec<Dist>, Vec<u32>)> {
+        let mut out = vec![(Vec::new(), Vec::new()); sources.len()];
+        let mut lanes = HopLanes::new(threads, parents);
+        hop_limited(g, sources, h, &mut lanes, &mut out, |row, slot| {
+            *slot = (
+                row.dists().to_vec(),
+                row.parents().map(<[u32]>::to_vec).unwrap_or_default(),
+            );
+        });
+        out
+    }
+
     #[test]
     fn hop_limited_multi_source_agrees_with_single() {
         let g = generators::gnp(40, 0.1, &mut seeded(3));
         let wg = WeightedGraph::from_unweighted(&g);
         let sources = [0usize, 5, 17];
-        let all = hop_limited_from_sources(&wg, &sources, 4);
+        let all = rows(&wg, &sources, 4, 2, false);
         for (i, &s) in sources.iter().enumerate() {
-            let single = hop_limited_from_sources(&wg, &[s], 4);
-            for v in 0..g.n() {
-                assert_eq!(all[v][i], single[v][0]);
-            }
+            assert_eq!(all[i], rows(&wg, &[s], 4, 1, false)[0]);
         }
     }
 
@@ -352,11 +506,22 @@ mod tests {
     fn enough_hops_equals_dijkstra() {
         let g = generators::gnp(30, 0.15, &mut seeded(9));
         let wg = WeightedGraph::from_unweighted(&g);
-        let hops = g.n();
-        let hl = hop_limited_from_sources(&wg, &[0], hops);
-        let dj = sssp(&wg, 0);
-        for v in 0..g.n() {
-            assert_eq!(hl[v][0], dj[v]);
+        let hl = rows(&wg, &[0], g.n(), 1, false);
+        assert_eq!(hl[0].0, sssp(&wg, 0));
+    }
+
+    #[test]
+    fn lanes_are_reused_across_calls() {
+        let g = generators::grid(6, 6);
+        let wg = WeightedGraph::from_unweighted(&g);
+        let sources: Vec<usize> = (0..wg.n()).step_by(3).collect();
+        let mut lanes = HopLanes::new(3, true);
+        for h in [2usize, 5, 2] {
+            let mut warm = vec![(Vec::new(), Vec::new()); sources.len()];
+            hop_limited(&wg, &sources, h, &mut lanes, &mut warm, |row, slot| {
+                *slot = (row.dists().to_vec(), row.parents().unwrap().to_vec());
+            });
+            assert_eq!(warm, rows(&wg, &sources, h, 1, true), "h={h}");
         }
     }
 
@@ -417,23 +582,31 @@ mod tests {
         let mut wg = WeightedGraph::from_unweighted(&g);
         wg.add_edge(0, 30, 7); // a heavy shortcut exercises weighted hops
         let sources = [0usize, 5, 17];
+        let mut chain = Vec::new();
         for h in [2usize, 4, 40] {
-            let plain = hop_limited_from_sources(&wg, &sources, h);
-            let (dist, parents) = hop_limited_from_sources_with_parents(&wg, &sources, h);
-            assert_eq!(dist, plain, "h={h}: parents must not change distances");
+            let plain = rows(&wg, &sources, h, 1, false);
+            let tracked = rows(&wg, &sources, h, 1, true);
             for (i, &s) in sources.iter().enumerate() {
+                let (dist, parents) = &tracked[i];
+                assert_eq!(
+                    dist, &plain[i].0,
+                    "h={h}: parents must not change distances"
+                );
                 for v in 0..wg.n() {
-                    if dist[v][i] >= INF {
-                        assert_eq!(chain_from_hop_parents(&parents[i], s, v), None);
+                    if dist[v] >= INF {
+                        assert!(!hop_chain_into(parents, s, v, &mut chain));
                         continue;
                     }
-                    let chain = chain_from_hop_parents(&parents[i], s, v)
-                        .unwrap_or_else(|| panic!("no chain for ({s},{v}) h={h}"));
-                    assert_eq!(chain[0], s);
-                    assert_eq!(*chain.last().unwrap(), v);
+                    assert!(
+                        hop_chain_into(parents, s, v, &mut chain),
+                        "no chain for ({s},{v}) h={h}"
+                    );
+                    let walk: Vec<usize> = chain.iter().map(|&x| x as usize).collect();
+                    assert_eq!(walk[0], s);
+                    assert_eq!(*walk.last().unwrap(), v);
                     // The chain is a real walk of weight ≤ the reported
                     // distance (late relaxations can only shorten it).
-                    assert!(path_weight(&wg, &chain) <= dist[v][i], "({s},{v}) h={h}");
+                    assert!(path_weight(&wg, &walk) <= dist[v], "({s},{v}) h={h}");
                 }
             }
         }

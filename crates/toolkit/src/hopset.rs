@@ -26,11 +26,13 @@
 
 use cc_clique::RoundLedger;
 use cc_derand::hitting;
-use cc_graphs::{dijkstra, Dist, Graph, WeightedGraph, INF};
+use cc_graphs::dijkstra::HopLanes;
+use cc_graphs::{Dist, Graph, WeightedGraph, INF};
 use cc_routes::Unroller;
 use rand::Rng;
 
 use crate::knearest::{KNearest, Strategy};
+use crate::source_detection::SourceDetection;
 
 /// Parameters of a bounded-hopset construction.
 #[derive(Clone, Copy, Debug)]
@@ -48,9 +50,11 @@ pub struct HopsetParams {
     /// uses a smaller factor — worst-case-loose but empirically sufficient
     /// (every experiment re-verifies the guarantee).
     pub beta_factor: f64,
-    /// Worker threads for the local `(k,t)`-nearest computation (`0` and `1`
-    /// both mean serial). Purely wall-clock: the constructed hopset and the
-    /// rounds charged are identical at any thread count.
+    /// Worker threads for the local `(k,t)`-nearest computation, the pivot
+    /// interconnection's hop-limited searches and
+    /// [`BoundedHopset::verify_from`] (`0` and `1` both mean serial).
+    /// Purely wall-clock: the constructed hopset and the rounds charged are
+    /// identical at any thread count.
     pub threads: usize,
     /// Record, per hopset edge, the walk in `G` that realizes it (an
     /// [`Unroller`] on [`BoundedHopset::routes`]). Purely local witness
@@ -162,16 +166,19 @@ impl BoundedHopset {
     ///
     /// Returns the worst ratio observed.
     pub fn verify_from(&self, g: &Graph, samples: &[usize]) -> f64 {
-        let union = self.union_with(g);
-        let hop_dist = dijkstra::hop_limited_from_sources(&union, samples, self.beta);
         let mut worst: f64 = 1.0;
+        if samples.is_empty() {
+            return worst;
+        }
+        let union = self.union_with(g);
+        let mut lanes = HopLanes::new(self.params.threads, false);
+        let sd = SourceDetection::detect(&union, samples, self.beta, &mut lanes, false);
         for (i, &s) in samples.iter().enumerate() {
             let exact = cc_graphs::bfs::sssp(g, s);
-            for v in 0..g.n() {
+            for (v, &got) in sd.source_row(i).iter().enumerate() {
                 if v == s || exact[v] > self.params.t || exact[v] >= INF {
                     continue;
                 }
-                let got = hop_dist[v][i];
                 assert!(got >= exact[v], "hopset below true distance at ({s},{v})");
                 worst = worst.max(got as f64 / exact[v] as f64);
             }
@@ -339,6 +346,10 @@ fn build_from_pivots(
     // unrolling strictly descends through the layering.
     if !a1.is_empty() {
         let iterations = params.iterations();
+        // Only the A₁ × A₁ block is read; the lanes and the chain buffer
+        // are reused across iterations.
+        let mut lanes = HopLanes::new(params.threads, routes.is_some());
+        let mut chain = Vec::new();
         for ell in 1..=iterations {
             let union = {
                 let mut u = WeightedGraph::from_unweighted(g);
@@ -351,37 +362,22 @@ fn build_from_pivots(
                 a1.len() as u64,
                 4 * beta as u64,
             );
-            let (dist, parents) = match &routes {
-                Some(_) => {
-                    let (d, p) =
-                        dijkstra::hop_limited_from_sources_with_parents(&union, &a1, 4 * beta);
-                    (d, Some(p))
-                }
-                None => (
-                    dijkstra::hop_limited_from_sources(&union, &a1, 4 * beta),
-                    None,
-                ),
-            };
+            let sd = SourceDetection::detect(&union, &a1, 4 * beta, &mut lanes, true);
             for (i, &a) in a1.iter().enumerate() {
-                for &b in &a1 {
-                    if b <= a {
+                for (&b, &d) in a1.iter().zip(sd.source_row(i)) {
+                    if b <= a || d >= INF {
                         continue;
                     }
-                    let d = dist[b][i];
-                    if d < INF {
-                        h.add_edge(a, b, d);
-                        if let (Some(r), Some(parents)) = (routes.as_mut(), parents.as_ref()) {
-                            let chain: Vec<u32> =
-                                dijkstra::chain_from_hop_parents(&parents[i], a, b)
-                                    .expect("detected pivot has a parent chain")
-                                    .into_iter()
-                                    .map(|x| x as u32)
-                                    .collect();
-                            let rec = r
-                                .intern_walk(g, &chain)
-                                .expect("interconnection hops are G or earlier-H edges");
-                            r.register(a, b, rec);
-                        }
+                    h.add_edge(a, b, d);
+                    if let Some(r) = routes.as_mut() {
+                        assert!(
+                            sd.chain_into(i, b, &mut chain),
+                            "detected pivot has a parent chain"
+                        );
+                        let rec = r
+                            .intern_walk(g, &chain)
+                            .expect("interconnection hops are G or earlier-H edges");
+                        r.register(a, b, rec);
                     }
                 }
             }
