@@ -22,14 +22,14 @@ fn bench_apsp(c: &mut Criterion) {
             let cfg = AdditiveApspConfig::scaled(nn, 0.25).expect("valid");
             b.iter(|| {
                 let mut ledger = RoundLedger::new(nn);
-                apsp_additive::run(&g, &cfg, &mut rng, &mut ledger)
+                apsp_additive::run(&g, &cfg, Some(&mut rng), &mut ledger)
             })
         });
         group.bench_with_input(BenchmarkId::new("two-plus-eps", nn), &nn, |b, _| {
             let cfg = Apsp2Config::scaled(nn, 0.5).expect("valid");
             b.iter(|| {
                 let mut ledger = RoundLedger::new(nn);
-                apsp2::run(&g, &cfg, &mut rng, &mut ledger).expect("apsp2")
+                apsp2::run(&g, &cfg, Some(&mut rng), &mut ledger).expect("apsp2")
             })
         });
         group.bench_with_input(BenchmarkId::new("mssp", nn), &nn, |b, _| {
@@ -37,7 +37,7 @@ fn bench_apsp(c: &mut Criterion) {
             let sources: Vec<usize> = (0..nn).step_by(11).take(12).collect();
             b.iter(|| {
                 let mut ledger = RoundLedger::new(nn);
-                mssp::run(&g, &sources, &cfg, &mut rng, &mut ledger).expect("mssp")
+                mssp::run(&g, &sources, &cfg, Some(&mut rng), &mut ledger).expect("mssp")
             })
         });
         group.bench_with_input(BenchmarkId::new("baseline-polylog", nn), &nn, |b, _| {

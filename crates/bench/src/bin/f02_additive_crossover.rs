@@ -22,7 +22,7 @@ fn main() {
 
     let acfg = AdditiveApspConfig::scaled(n, eps).expect("valid");
     let mut la = RoundLedger::new(n);
-    let additive = apsp_additive::run(&g, &acfg, &mut r, &mut la);
+    let additive = apsp_additive::run(&g, &acfg, Some(&mut r), &mut la);
 
     // A genuinely multiplicative comparator: a (2k−1)-spanner with k = 2 on
     // a denser graph would show stretch ≈ 3; on the cycle the relevant

@@ -35,7 +35,7 @@ fn main() {
             let sources: Vec<usize> = (0..nn).step_by((nn / s_count).max(1)).collect();
             let cfg = MsspConfig::scaled(nn, eps).expect("valid");
             let mut ledger = RoundLedger::new(nn);
-            let out = mssp::run(&g, &sources, &cfg, &mut r, &mut ledger).expect("mssp");
+            let out = mssp::run(&g, &sources, &cfg, Some(&mut r), &mut ledger).expect("mssp");
             let mut worst: f64 = 1.0;
             let mut sum = 0.0;
             let mut pairs = 0usize;

@@ -37,12 +37,12 @@ fn main() {
 
             let cfg2 = Apsp2Config::scaled(nn, eps).expect("valid");
             let mut l2 = RoundLedger::new(nn);
-            let out2 = apsp2::run(&g, &cfg2, &mut r, &mut l2).expect("apsp2");
+            let out2 = apsp2::run(&g, &cfg2, Some(&mut r), &mut l2).expect("apsp2");
             let rep2 = stretch::evaluate_range(&exact, out2.estimates.as_fn(), 0.0, 1, out2.t);
 
             let cfg3 = Apsp3Config::scaled(nn, eps).expect("valid");
             let mut l3 = RoundLedger::new(nn);
-            let out3 = apsp3::run(&g, &cfg3, &mut r, &mut l3).expect("apsp3");
+            let out3 = apsp3::run(&g, &cfg3, Some(&mut r), &mut l3).expect("apsp3");
             let rep3 = stretch::evaluate_range(&exact, out3.estimates.as_fn(), 0.0, 1, out3.t);
 
             let ok = rep2.lower_violations == 0

@@ -34,7 +34,7 @@ fn main() {
             let nn = g.n();
             let cfg = AdditiveApspConfig::scaled(nn, eps).expect("valid");
             let mut ledger = RoundLedger::new(nn);
-            let out = apsp_additive::run(&g, &cfg, &mut r, &mut ledger);
+            let out = apsp_additive::run(&g, &cfg, Some(&mut r), &mut ledger);
             let exact = bfs::apsp_exact(&g);
             // Measured additive error over the *user* (1+eps) line — the
             // paper's beta is the worst case for this quantity.

@@ -34,9 +34,9 @@ fn main() {
         // (1+eps, beta)-APSP.
         let cfg = AdditiveApspConfig::scaled(nn, 0.25).expect("valid");
         let mut lr = RoundLedger::new(nn);
-        let rand_out = apsp_additive::run(&g, &cfg, &mut r, &mut lr);
+        let rand_out = apsp_additive::run(&g, &cfg, Some(&mut r), &mut lr);
         let mut ld = RoundLedger::new(nn);
-        let det_out = apsp_additive::run_deterministic(&g, &cfg, &mut ld);
+        let det_out = apsp_additive::run(&g, &cfg, None, &mut ld);
         let rep_r = stretch::evaluate(&exact, rand_out.estimates.as_fn(), 0.0);
         let rep_d = stretch::evaluate(&exact, det_out.estimates.as_fn(), 0.0);
         table.row(vec![
@@ -53,9 +53,9 @@ fn main() {
         // (2+eps)-APSP.
         let cfg2 = Apsp2Config::scaled(nn, 0.5).expect("valid");
         let mut lr2 = RoundLedger::new(nn);
-        let rand2 = apsp2::run(&g, &cfg2, &mut r, &mut lr2).expect("apsp2");
+        let rand2 = apsp2::run(&g, &cfg2, Some(&mut r), &mut lr2).expect("apsp2");
         let mut ld2 = RoundLedger::new(nn);
-        let det2 = apsp2::run_deterministic(&g, &cfg2, &mut ld2).expect("apsp2 det");
+        let det2 = apsp2::run(&g, &cfg2, None, &mut ld2).expect("apsp2 det");
         let rep_r2 = stretch::evaluate_range(&exact, rand2.estimates.as_fn(), 0.0, 1, rand2.t);
         let rep_d2 = stretch::evaluate_range(&exact, det2.estimates.as_fn(), 0.0, 1, det2.t);
         table.row(vec![

@@ -23,10 +23,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::time::Instant;
-
-use cc_bench::rng;
-use cc_graphs::{generators, Graph};
+use cc_bench::{best_secs, gnp_with_density};
 use cc_matrix::legacy::{dense_minplus_unblocked, LegacySparseMatrix};
 use cc_matrix::{DenseMatrix, MinplusWorkspace, SparseMatrix};
 
@@ -49,19 +46,6 @@ fn dense_ops(a: &DenseMatrix) -> u64 {
     a.finite_entries() as u64 * a.n() as u64
 }
 
-/// Best-of-`reps` wall time of `run`, seconds.
-fn best_secs<T>(reps: usize, mut run: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let value = run();
-        best = best.min(start.elapsed().as_secs_f64());
-        out = Some(value);
-    }
-    (best, out.expect("reps >= 1"))
-}
-
 struct Row {
     kernel: &'static str,
     n: usize,
@@ -70,13 +54,6 @@ struct Row {
     ops: u64,
     wall_ms: f64,
     ops_per_sec: f64,
-}
-
-fn gnp_with_density(n: usize, target_rho: usize, seed: u64) -> Graph {
-    // Adjacency rows carry the diagonal plus the degree, so aim the expected
-    // degree at ρ − 1.
-    let p = (target_rho.saturating_sub(1) as f64 / (n - 1) as f64).min(1.0);
-    generators::gnp(n, p, &mut rng(seed))
 }
 
 fn main() {

@@ -24,29 +24,11 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use cc_bench::rng;
+use cc_bench::{best_secs, gnp_with_density, rng};
 use cc_core::{Execution, PathOracle, SolverBuilder};
 use cc_graphs::{dijkstra, generators, Dist, Graph, WeightedGraph};
 use cc_matrix::{DenseMatrix, MinplusWorkspace, SparseMatrix};
 use rand::Rng;
-
-/// Best-of-`reps` wall time of `run`, seconds.
-fn best_secs<T>(reps: usize, mut run: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let value = run();
-        best = best.min(start.elapsed().as_secs_f64());
-        out = Some(value);
-    }
-    (best, out.expect("reps >= 1"))
-}
-
-fn gnp_with_density(n: usize, target_rho: usize, seed: u64) -> Graph {
-    let p = (target_rho.saturating_sub(1) as f64 / (n - 1) as f64).min(1.0);
-    generators::gnp(n, p, &mut rng(seed))
-}
 
 /// Verifies a sampled set of routes end-to-end against the graph and exact
 /// Dijkstra trees. Panics (failing the bench) on any violation.

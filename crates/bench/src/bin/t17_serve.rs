@@ -29,30 +29,12 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
 
-use cc_bench::percentile;
+use cc_bench::{hist_json, pairs_for, percentile};
 use cc_core::{Execution, PathOracle, SolverBuilder};
 use cc_graphs::generators;
-use cc_obs::{parse_exposition, HistSummary};
+use cc_obs::parse_exposition;
 use cc_serve::protocol::{read_frame, write_frame, Op, Payload, Request, Response, Status};
 use cc_serve::{server, snapshot, Client, ServerConfig};
-
-/// Deterministic query-pair stream (splitmix-style, no RNG dependency).
-fn pairs_for(seed: u64, n: usize, count: usize) -> Vec<(u32, u32)> {
-    let mut state = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    (0..count)
-        .map(|_| {
-            let r = next();
-            ((r % n as u64) as u32, ((r >> 32) % n as u64) as u32)
-        })
-        .collect()
-}
 
 /// One client's sustained-phase work: alternating dist/path batches, each
 /// response verified against the in-process reference oracle.
@@ -117,15 +99,6 @@ fn client_run(
         }
     }
     (dist_lat, path_lat, queries)
-}
-
-/// Renders a histogram summary as an all-integer JSON object (quantiles are
-/// exact power-of-two bucket uppers, capped at the observed max).
-fn hist_json(h: &HistSummary) -> String {
-    format!(
-        "{{\"count\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}",
-        h.count, h.p50, h.p90, h.p99, h.max
-    )
 }
 
 fn main() {

@@ -30,41 +30,14 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cc_bench::percentile;
+use cc_bench::{hist_json, pairs_for, percentile};
 use cc_core::{DistOracle, DistanceMatrix, Guarantee, PointEstimate};
 use cc_graphs::StorageKind;
-use cc_obs::{parse_exposition, HistSummary};
+use cc_obs::parse_exposition;
 use cc_serve::{
     server, snapshot, Client, ClientError, FaultPlan, FaultSite, ReloadConfig, RetryPolicy,
     ServerConfig, Status,
 };
-
-/// Deterministic query-pair stream (splitmix-style, no RNG dependency).
-fn pairs_for(seed: u64, n: usize, count: usize) -> Vec<(u32, u32)> {
-    let mut state = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    (0..count)
-        .map(|_| {
-            let r = next();
-            ((r % n as u64) as u32, ((r >> 32) % n as u64) as u32)
-        })
-        .collect()
-}
-
-/// Renders a histogram summary as an all-integer JSON object (quantiles are
-/// exact power-of-two bucket uppers, capped at the observed max).
-fn hist_json(h: &HistSummary) -> String {
-    format!(
-        "{{\"count\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}",
-        h.count, h.p50, h.p90, h.p99, h.max
-    )
-}
 
 /// `dist(u, v) = |u − v| * scale`: generations are bit-distinguishable.
 fn scaled_oracle(n: usize, scale: u32) -> DistOracle {

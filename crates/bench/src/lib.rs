@@ -3,7 +3,8 @@
 //! Each theorem-level claim of the paper maps to one experiment binary in
 //! `src/bin/` (see `DESIGN.md` §5 for the index and `EXPERIMENTS.md` for
 //! recorded results). This library provides the shared scaffolding: aligned
-//! text tables, seeded RNGs, and the standard graph suite.
+//! text tables, seeded RNGs, the standard graph suite, and the timing,
+//! query-stream and JSON helpers the `t15`–`t18` benches share.
 
 #![forbid(unsafe_code)]
 // Index-based loops are the clearest idiom for the dense adjacency/matrix
@@ -11,6 +12,10 @@
 #![allow(clippy::needless_range_loop)]
 #![warn(missing_docs)]
 
+use std::time::Instant;
+
+use cc_graphs::{generators, Graph};
+use cc_obs::HistSummary;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -95,6 +100,56 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     }
     let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
+}
+
+/// Best-of-`reps` wall time of `run` in seconds, with the last run's
+/// output (`reps` is raised to at least 1).
+pub fn best_secs<T>(reps: usize, mut run: impl FnMut() -> T) -> (f64, T) {
+    let mut best = f64::INFINITY;
+    let mut out = None;
+    for _ in 0..reps.max(1) {
+        let start = Instant::now();
+        let value = run();
+        best = best.min(start.elapsed().as_secs_f64());
+        out = Some(value);
+    }
+    (best, out.expect("reps >= 1"))
+}
+
+/// A `G(n, p)` graph whose adjacency rows hold about `target_rho` entries:
+/// the rows carry the diagonal plus the degree, so the expected degree is
+/// aimed at `ρ − 1`.
+pub fn gnp_with_density(n: usize, target_rho: usize, seed: u64) -> Graph {
+    let p = (target_rho.saturating_sub(1) as f64 / (n - 1) as f64).min(1.0);
+    generators::gnp(n, p, &mut rng(seed))
+}
+
+/// Deterministic query-pair stream over `0..n` (splitmix-style, no RNG
+/// dependency).
+pub fn pairs_for(seed: u64, n: usize, count: usize) -> Vec<(u32, u32)> {
+    let mut state = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    (0..count)
+        .map(|_| {
+            let r = next();
+            ((r % n as u64) as u32, ((r >> 32) % n as u64) as u32)
+        })
+        .collect()
+}
+
+/// Renders a histogram summary as an all-integer JSON object (quantiles are
+/// exact power-of-two bucket uppers, capped at the observed max).
+pub fn hist_json(h: &HistSummary) -> String {
+    format!(
+        "{{\"count\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}",
+        h.count, h.p50, h.p90, h.p99, h.max
+    )
 }
 
 /// Standard `n` sweep for scaling experiments.

@@ -10,28 +10,12 @@
 
 use cc_clique::RoundLedger;
 use cc_graphs::{Dist, Graph};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::apsp2::{self, Apsp2Config};
 use crate::apsp3::{self, Apsp3Config};
 use crate::apsp_additive::{self, AdditiveApspConfig};
 use crate::error::CcError;
 use crate::solver::Execution;
-
-/// Dispatches one run to the seeded or deterministic variant of a pipeline,
-/// centralizing per-run generator construction for every `Algorithm` impl.
-fn run_either<T>(
-    execution: Execution,
-    ledger: &mut RoundLedger,
-    seeded: impl FnOnce(&mut StdRng, &mut RoundLedger) -> T,
-    deterministic: impl FnOnce(&mut RoundLedger) -> T,
-) -> T {
-    match execution {
-        Execution::Seeded(seed) => seeded(&mut StdRng::seed_from_u64(seed), ledger),
-        Execution::Deterministic => deterministic(ledger),
-    }
-}
 
 /// Normalized output of one APSP-class run.
 #[derive(Clone, Debug)]
@@ -84,12 +68,7 @@ impl Algorithm for NearAdditiveApsp {
         ledger: &mut RoundLedger,
     ) -> Result<AlgorithmOutput, CcError> {
         let cfg = AdditiveApspConfig::scaled(g.n(), self.eps)?;
-        let out = run_either(
-            execution,
-            ledger,
-            |rng, ledger| apsp_additive::run(g, &cfg, rng, ledger),
-            |ledger| apsp_additive::run_deterministic(g, &cfg, ledger),
-        );
+        let out = execution.with_rng(|rng| apsp_additive::run(g, &cfg, rng, ledger));
         Ok(AlgorithmOutput {
             estimates: out.estimates.to_rows(),
             guarantee: (out.multiplicative_bound, out.additive_bound),
@@ -116,12 +95,7 @@ impl Algorithm for TwoPlusEpsApsp {
         ledger: &mut RoundLedger,
     ) -> Result<AlgorithmOutput, CcError> {
         let cfg = Apsp2Config::scaled(g.n(), self.eps)?;
-        let out = run_either(
-            execution,
-            ledger,
-            |rng, ledger| apsp2::run(g, &cfg, rng, ledger),
-            |ledger| apsp2::run_deterministic(g, &cfg, ledger),
-        )?;
+        let out = execution.with_rng(|rng| apsp2::run(g, &cfg, rng, ledger))?;
         Ok(AlgorithmOutput {
             estimates: out.estimates.to_rows(),
             guarantee: (out.short_range_guarantee, 0.0),
@@ -148,12 +122,7 @@ impl Algorithm for ThreePlusEpsApsp {
         ledger: &mut RoundLedger,
     ) -> Result<AlgorithmOutput, CcError> {
         let cfg = Apsp3Config::scaled(g.n(), self.eps)?;
-        let out = run_either(
-            execution,
-            ledger,
-            |rng, ledger| apsp3::run(g, &cfg, rng, ledger),
-            |ledger| apsp3::run_deterministic(g, &cfg, ledger),
-        )?;
+        let out = execution.with_rng(|rng| apsp3::run(g, &cfg, rng, ledger))?;
         Ok(AlgorithmOutput {
             estimates: out.estimates.to_rows(),
             guarantee: (out.short_range_guarantee, 0.0),

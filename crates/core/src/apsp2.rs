@@ -30,7 +30,7 @@ use cc_toolkit::hopset::BoundedHopset;
 use cc_toolkit::knearest::{KNearest, Strategy};
 use cc_toolkit::source_detection::SourceDetection;
 use cc_toolkit::through_sets::{distance_through_sets, distance_through_sets_with_witness};
-use rand::Rng;
+use rand::RngCore;
 
 use crate::error::CcError;
 use crate::estimates::DistanceMatrix;
@@ -127,7 +127,14 @@ impl Apsp2 {
     }
 }
 
-/// Randomized `(2+ε)`-APSP (Thm 34).
+/// `(2+ε)`-APSP: randomized (Thm 34) with `Some(rng)`, deterministic
+/// (Thm 53) with `None`.
+///
+/// A one-shot run with a fresh substrate cache: it charges every
+/// construction it uses. The first query of a [`crate::Solver`] session
+/// equals this call bit for bit: under `Execution::Seeded(s)` given
+/// `Some(&mut StdRng::seed_from_u64(s))`, under `Execution::Deterministic`
+/// given `None`.
 ///
 /// # Errors
 ///
@@ -136,24 +143,10 @@ impl Apsp2 {
 pub fn run(
     g: &Graph,
     cfg: &Apsp2Config,
-    rng: &mut impl Rng,
+    rng: Option<&mut dyn RngCore>,
     ledger: &mut RoundLedger,
 ) -> Result<Apsp2, CcError> {
-    run_mode(g, cfg, Mode::Rng(rng), ledger, &mut Substrates::new())
-}
-
-/// Deterministic `(2+ε)`-APSP (Thm 53).
-///
-/// # Errors
-///
-/// Returns [`CcError`] if a pipeline-internal hitting-set instance fails
-/// validation.
-pub fn run_deterministic(
-    g: &Graph,
-    cfg: &Apsp2Config,
-    ledger: &mut RoundLedger,
-) -> Result<Apsp2, CcError> {
-    run_mode(g, cfg, Mode::Det, ledger, &mut Substrates::new())
+    run_mode(g, cfg, rng.into(), ledger, &mut Substrates::new())
 }
 
 pub(crate) fn run_mode(
@@ -712,7 +705,7 @@ mod tests {
         ] {
             let cfg = Apsp2Config::new(g.n(), 0.5, 2).unwrap();
             let mut ledger = RoundLedger::new(g.n());
-            let out = run(&g, &cfg, &mut rng, &mut ledger).unwrap();
+            let out = run(&g, &cfg, Some(&mut rng), &mut ledger).unwrap();
             assert_short_range(&g, &out, name);
         }
     }
@@ -725,7 +718,7 @@ mod tests {
         ] {
             let cfg = Apsp2Config::new(g.n(), 0.5, 2).unwrap();
             let mut ledger = RoundLedger::new(g.n());
-            let out = run_deterministic(&g, &cfg, &mut ledger).unwrap();
+            let out = run(&g, &cfg, None, &mut ledger).unwrap();
             assert_short_range(&g, &out, name);
         }
     }
@@ -740,7 +733,7 @@ mod tests {
         let mut cfg = Apsp2Config::new(40, 0.5, 2).unwrap();
         cfg.high_degree_threshold = 10; // force the phase at this scale
         let mut ledger = RoundLedger::new(40);
-        let out = run(&g, &cfg, &mut rng, &mut ledger).unwrap();
+        let out = run(&g, &cfg, Some(&mut rng), &mut ledger).unwrap();
         assert!(!out.high_degree_pivots.is_empty());
         assert_short_range(&g, &out, "hub");
     }
@@ -751,7 +744,7 @@ mod tests {
         let g = generators::connected_gnp(48, 0.08, &mut rng);
         let cfg = Apsp2Config::new(48, 0.5, 2).unwrap();
         let mut ledger = RoundLedger::new(48);
-        let out = run(&g, &cfg, &mut rng, &mut ledger).unwrap();
+        let out = run(&g, &cfg, Some(&mut rng), &mut ledger).unwrap();
         for u in 0..48 {
             for v in 0..48 {
                 assert_eq!(out.estimates.get(u, v), out.estimates.get(v, u));
@@ -765,7 +758,7 @@ mod tests {
         let g = generators::caveman(8, 8);
         let cfg = Apsp2Config::scaled(g.n(), 0.5).unwrap();
         let mut ledger = RoundLedger::new(g.n());
-        let out = run(&g, &cfg, &mut rng, &mut ledger).unwrap();
+        let out = run(&g, &cfg, Some(&mut rng), &mut ledger).unwrap();
         assert_short_range(&g, &out, "scaled");
     }
 }

@@ -19,7 +19,7 @@ use cc_emulator::EmulatorParams;
 use cc_graphs::{Dist, Graph, INF};
 use cc_toolkit::knearest::{KNearest, Strategy};
 use cc_toolkit::source_detection::SourceDetection;
-use rand::Rng;
+use rand::RngCore;
 
 use crate::error::CcError;
 use crate::estimates::DistanceMatrix;
@@ -108,7 +108,14 @@ impl Apsp3 {
     }
 }
 
-/// Randomized `(3+ε)`-APSP.
+/// `(3+ε)`-APSP: randomized tools with `Some(rng)`, deterministic ones
+/// with `None`.
+///
+/// A one-shot run with a fresh substrate cache: it charges every
+/// construction it uses. The first query of a [`crate::Solver`] session
+/// equals this call bit for bit: under `Execution::Seeded(s)` given
+/// `Some(&mut StdRng::seed_from_u64(s))`, under `Execution::Deterministic`
+/// given `None`.
 ///
 /// # Errors
 ///
@@ -117,24 +124,10 @@ impl Apsp3 {
 pub fn run(
     g: &Graph,
     cfg: &Apsp3Config,
-    rng: &mut impl Rng,
+    rng: Option<&mut dyn RngCore>,
     ledger: &mut RoundLedger,
 ) -> Result<Apsp3, CcError> {
-    run_mode(g, cfg, Mode::Rng(rng), ledger, &mut Substrates::new())
-}
-
-/// Deterministic `(3+ε)`-APSP.
-///
-/// # Errors
-///
-/// Returns [`CcError`] if a pipeline-internal hitting-set instance fails
-/// validation.
-pub fn run_deterministic(
-    g: &Graph,
-    cfg: &Apsp3Config,
-    ledger: &mut RoundLedger,
-) -> Result<Apsp3, CcError> {
-    run_mode(g, cfg, Mode::Det, ledger, &mut Substrates::new())
+    run_mode(g, cfg, rng.into(), ledger, &mut Substrates::new())
 }
 
 pub(crate) fn run_mode(
@@ -309,7 +302,7 @@ mod tests {
         ] {
             let cfg = Apsp3Config::new(g.n(), 0.5, 2).unwrap();
             let mut ledger = RoundLedger::new(g.n());
-            let out = run(&g, &cfg, &mut rng, &mut ledger).unwrap();
+            let out = run(&g, &cfg, Some(&mut rng), &mut ledger).unwrap();
             let _ = name;
             assert_short_range(&g, &out);
         }
@@ -320,7 +313,7 @@ mod tests {
         let g = generators::caveman(7, 7);
         let cfg = Apsp3Config::new(g.n(), 0.5, 2).unwrap();
         let mut ledger = RoundLedger::new(g.n());
-        let out = run_deterministic(&g, &cfg, &mut ledger).unwrap();
+        let out = run(&g, &cfg, None, &mut ledger).unwrap();
         assert_short_range(&g, &out);
     }
 
@@ -333,7 +326,7 @@ mod tests {
         cfg.k = 12;
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let mut ledger = RoundLedger::new(12);
-        let out = run(&g, &cfg, &mut rng, &mut ledger).unwrap();
+        let out = run(&g, &cfg, Some(&mut rng), &mut ledger).unwrap();
         let exact = bfs::apsp_exact(&g);
         for u in 0..12 {
             for v in 0..12 {

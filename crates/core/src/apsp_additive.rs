@@ -9,7 +9,7 @@ use cc_clique::RoundLedger;
 use cc_emulator::clique::CliqueEmulatorConfig;
 use cc_emulator::{Emulator, EmulatorParams};
 use cc_graphs::Graph;
-use rand::Rng;
+use rand::RngCore;
 
 use crate::estimates::DistanceMatrix;
 use crate::oracle::{DistOracle, Guarantee};
@@ -93,23 +93,21 @@ impl AdditiveApsp {
     }
 }
 
-/// Randomized `(1+ε, β)`-APSP (Thm 32).
+/// `(1+ε, β)`-APSP: randomized (Thm 32) with `Some(rng)`, deterministic
+/// (Thm 51) with `None`.
+///
+/// A one-shot run with a fresh substrate cache: it charges every
+/// construction it uses. The first query of a [`crate::Solver`] session
+/// equals this call bit for bit: under `Execution::Seeded(s)` given
+/// `Some(&mut StdRng::seed_from_u64(s))`, under `Execution::Deterministic`
+/// given `None`.
 pub fn run(
     g: &Graph,
     cfg: &AdditiveApspConfig,
-    rng: &mut impl Rng,
+    rng: Option<&mut dyn RngCore>,
     ledger: &mut RoundLedger,
 ) -> AdditiveApsp {
-    run_mode(g, cfg, Mode::Rng(rng), ledger, &mut Substrates::new())
-}
-
-/// Deterministic `(1+ε, β)`-APSP (Thm 51).
-pub fn run_deterministic(
-    g: &Graph,
-    cfg: &AdditiveApspConfig,
-    ledger: &mut RoundLedger,
-) -> AdditiveApsp {
-    run_mode(g, cfg, Mode::Det, ledger, &mut Substrates::new())
+    run_mode(g, cfg, rng.into(), ledger, &mut Substrates::new())
 }
 
 pub(crate) fn run_mode(
@@ -161,7 +159,7 @@ mod tests {
         ] {
             let cfg = AdditiveApspConfig::new(g.n(), 0.25, 2).unwrap();
             let mut ledger = RoundLedger::new(g.n());
-            let out = run(&g, &cfg, &mut rng, &mut ledger);
+            let out = run(&g, &cfg, Some(&mut rng), &mut ledger);
             let exact = bfs::apsp_exact(&g);
             let report = stretch::evaluate(
                 &exact,
@@ -180,9 +178,9 @@ mod tests {
         let g = generators::caveman(6, 6);
         let cfg = AdditiveApspConfig::new(g.n(), 0.25, 2).unwrap();
         let mut l1 = RoundLedger::new(g.n());
-        let a = run_deterministic(&g, &cfg, &mut l1);
+        let a = run(&g, &cfg, None, &mut l1);
         let mut l2 = RoundLedger::new(g.n());
-        let b = run_deterministic(&g, &cfg, &mut l2);
+        let b = run(&g, &cfg, None, &mut l2);
         assert_eq!(a.estimates, b.estimates);
         let exact = bfs::apsp_exact(&g);
         let report = stretch::evaluate(&exact, a.estimates.as_fn(), a.multiplicative_bound - 1.0);
@@ -195,7 +193,7 @@ mod tests {
         let g = generators::connected_gnp(60, 0.06, &mut rng);
         let cfg = AdditiveApspConfig::new(g.n(), 0.3, 2).unwrap();
         let mut ledger = RoundLedger::new(g.n());
-        let out = run(&g, &cfg, &mut rng, &mut ledger);
+        let out = run(&g, &cfg, Some(&mut rng), &mut ledger);
         let exact = bfs::apsp_exact(&g);
         for u in 0..g.n() {
             for v in 0..g.n() {
@@ -210,7 +208,7 @@ mod tests {
         let cfg = AdditiveApspConfig::new(g.n(), 0.25, 2).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let mut ledger = RoundLedger::new(g.n());
-        let _ = run(&g, &cfg, &mut rng, &mut ledger);
+        let _ = run(&g, &cfg, Some(&mut rng), &mut ledger);
         let phases = ledger.by_phase();
         assert!(phases.contains_key("apsp-additive"));
     }

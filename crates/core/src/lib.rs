@@ -23,6 +23,14 @@
 //! estimates `δ` with `d_G(u,v) ≤ δ(u,v)` always, plus the approximation
 //! guarantee actually proven for the chosen parameters.
 //!
+//! Each pipeline module has one one-shot entry point, `run(…, rng, …)`:
+//! `Some(rng)` selects the randomized variant, `None` the deterministic
+//! one. It runs with a fresh substrate cache, so it charges every
+//! construction it uses. [`Solver`] is the session form of the same
+//! pipelines: it shares the substrates across queries, and with
+//! [`Execution::Seeded`] its first query is bit-identical to `run` given
+//! the same seed.
+//!
 //! # Example
 //!
 //! The [`Solver`] session API is the recommended entry point: configure it

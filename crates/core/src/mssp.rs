@@ -12,7 +12,7 @@ use cc_emulator::clique::CliqueEmulatorConfig;
 use cc_emulator::EmulatorParams;
 use cc_graphs::{Dist, DistStorage, Graph, INF};
 use cc_toolkit::source_detection::SourceDetection;
-use rand::Rng;
+use rand::RngCore;
 
 use crate::error::CcError;
 use crate::oracle::{DistOracle, Guarantee};
@@ -167,7 +167,14 @@ impl Mssp {
     }
 }
 
-/// Randomized `(1+ε)`-MSSP (Thm 33).
+/// `(1+ε)`-MSSP: randomized (Thm 33) with `Some(rng)`, deterministic
+/// (Thm 52) with `None`.
+///
+/// A one-shot run with a fresh substrate cache: it charges every
+/// construction it uses. The first query of a [`crate::Solver`] session
+/// equals this call bit for bit: under `Execution::Seeded(s)` given
+/// `Some(&mut StdRng::seed_from_u64(s))`, under `Execution::Deterministic`
+/// given `None`.
 ///
 /// # Errors
 ///
@@ -177,32 +184,10 @@ pub fn run(
     g: &Graph,
     sources: &[usize],
     cfg: &MsspConfig,
-    rng: &mut impl Rng,
+    rng: Option<&mut dyn RngCore>,
     ledger: &mut RoundLedger,
 ) -> Result<Mssp, CcError> {
-    run_mode(
-        g,
-        sources,
-        cfg,
-        Mode::Rng(rng),
-        ledger,
-        &mut Substrates::new(),
-    )
-}
-
-/// Deterministic `(1+ε)`-MSSP (Thm 52).
-///
-/// # Errors
-///
-/// Returns [`CcError::Mssp`] if sources are invalid or exceed the `O(√n)`
-/// limit.
-pub fn run_deterministic(
-    g: &Graph,
-    sources: &[usize],
-    cfg: &MsspConfig,
-    ledger: &mut RoundLedger,
-) -> Result<Mssp, CcError> {
-    run_mode(g, sources, cfg, Mode::Det, ledger, &mut Substrates::new())
+    run_mode(g, sources, cfg, rng.into(), ledger, &mut Substrates::new())
 }
 
 pub(crate) fn run_mode(
@@ -335,7 +320,7 @@ mod tests {
             let cfg = MsspConfig::new(g.n(), 0.5, 2).unwrap();
             let sources: Vec<usize> = (0..g.n()).step_by(9).collect();
             let mut ledger = RoundLedger::new(g.n());
-            let out = run(&g, &sources, &cfg, &mut rng, &mut ledger).unwrap();
+            let out = run(&g, &sources, &cfg, Some(&mut rng), &mut ledger).unwrap();
             for (i, &s) in sources.iter().enumerate() {
                 let exact = bfs::sssp(&g, s);
                 for v in 0..g.n() {
@@ -360,7 +345,7 @@ mod tests {
         let cfg = MsspConfig::new(g.n(), 0.5, 2).unwrap();
         let sources = [0usize, 10, 20, 30];
         let mut ledger = RoundLedger::new(g.n());
-        let out = run_deterministic(&g, &sources, &cfg, &mut ledger).unwrap();
+        let out = run(&g, &sources, &cfg, None, &mut ledger).unwrap();
         for (i, &s) in sources.iter().enumerate() {
             let exact = bfs::sssp(&g, s);
             for v in 0..g.n() {
@@ -385,14 +370,14 @@ mod tests {
             acc.push(v);
             acc
         });
-        let err = run(&g, &too_many, &cfg, &mut rng, &mut ledger).unwrap_err();
+        let err = run(&g, &too_many, &cfg, Some(&mut rng), &mut ledger).unwrap_err();
         assert!(matches!(
             err,
             CcError::Mssp(MsspError::TooManySources { .. })
         ));
-        let err = run(&g, &[], &cfg, &mut rng, &mut ledger).unwrap_err();
+        let err = run(&g, &[], &cfg, Some(&mut rng), &mut ledger).unwrap_err();
         assert_eq!(err, CcError::Mssp(MsspError::NoSources));
-        let err = run(&g, &[99], &cfg, &mut rng, &mut ledger).unwrap_err();
+        let err = run(&g, &[99], &cfg, Some(&mut rng), &mut ledger).unwrap_err();
         assert!(matches!(
             err,
             CcError::Mssp(MsspError::SourceOutOfRange { .. })
@@ -406,7 +391,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let mut ledger = RoundLedger::new(g.n());
         let sources = [3usize, 17];
-        let out = run(&g, &sources, &cfg, &mut rng, &mut ledger).unwrap();
+        let out = run(&g, &sources, &cfg, Some(&mut rng), &mut ledger).unwrap();
         assert_eq!(out.dist(0, 3), 0);
         assert_eq!(out.dist(1, 17), 0);
     }
@@ -420,7 +405,7 @@ mod tests {
         cfg.t_override = Some(8);
         let mut rng = ChaCha8Rng::seed_from_u64(6);
         let mut ledger = RoundLedger::new(100);
-        let out = run(&g, &[0], &cfg, &mut rng, &mut ledger).unwrap();
+        let out = run(&g, &[0], &cfg, Some(&mut rng), &mut ledger).unwrap();
         let exact = bfs::sssp(&g, 0);
         for v in 0..100 {
             assert!(out.dist(0, v) >= exact[v]);

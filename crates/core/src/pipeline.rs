@@ -28,6 +28,14 @@ pub(crate) enum Mode<'a> {
     Det,
 }
 
+/// The one place a pipeline's `rng` argument becomes a [`Mode`]: `Some`
+/// selects the randomized variants, `None` the deterministic ones.
+impl<'a> From<Option<&'a mut dyn RngCore>> for Mode<'a> {
+    fn from(rng: Option<&'a mut dyn RngCore>) -> Self {
+        rng.map_or(Mode::Det, Mode::Rng)
+    }
+}
+
 impl Mode<'_> {
     fn tag(&self) -> &'static str {
         match self {
@@ -101,8 +109,8 @@ fn sets_fingerprint(sets: &[Vec<usize>]) -> u64 {
 /// on: the near-additive emulator, bounded hopsets (keyed by graph, mode and
 /// threshold) and hitting sets.
 ///
-/// The one-shot entry points run with a fresh cache, so each free-function
-/// call charges exactly what it always did. A [`crate::Solver`] keeps one
+/// The one-shot entry points (each pipeline's `run`) run with a fresh
+/// cache, so each call charges every construction it uses. A [`crate::Solver`] keeps one
 /// `Substrates` for its lifetime, which is what amortizes construction
 /// across queries: a cache hit returns the stored object and charges **zero**
 /// rounds, modelling that every node of the clique already holds the
@@ -127,6 +135,15 @@ pub(crate) struct Substrates {
 impl Substrates {
     pub(crate) fn new() -> Self {
         Substrates::default()
+    }
+
+    /// Runs `f` on this cache and records its wall-clock as `stage`
+    /// (nothing is read from the clock while profiling is off).
+    pub(crate) fn timed<T>(&mut self, stage: &'static str, f: impl FnOnce(&mut Self) -> T) -> T {
+        let started = self.stages.borrow().start();
+        let out = f(self);
+        self.stages.borrow_mut().stop(stage, started);
+        out
     }
 
     /// The emulator for `cfg`, built (w.h.p. variant when randomized, Thm 50

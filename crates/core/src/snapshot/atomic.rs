@@ -19,9 +19,12 @@
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The temp-file sibling `write_atomic` stages into: same directory (so
-/// the rename cannot cross filesystems), name derived from the target.
+/// the rename cannot cross filesystems), name derived from the target and
+/// unique per call (process id plus a process-wide counter), so concurrent
+/// writers to one path never share a staging file.
 fn temp_sibling(path: &Path) -> std::io::Result<PathBuf> {
     let Some(name) = path.file_name() else {
         return Err(std::io::Error::new(
@@ -29,8 +32,10 @@ fn temp_sibling(path: &Path) -> std::io::Result<PathBuf> {
             "atomic write target has no file name",
         ));
     };
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let call = NEXT.fetch_add(1, Ordering::Relaxed);
     let mut tmp_name = name.to_os_string();
-    tmp_name.push(format!(".tmp.{}", std::process::id()));
+    tmp_name.push(format!(".tmp.{}.{call}", std::process::id()));
     Ok(path.with_file_name(tmp_name))
 }
 
@@ -118,6 +123,52 @@ mod tests {
         let bad = dir.join("no-such-subdir").join("x.bin");
         assert!(write_atomic(&bad, b"doomed").is_err());
         assert_eq!(std::fs::read(&path).unwrap(), b"precious");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_writers_to_one_path_all_succeed() {
+        const WRITERS: usize = 4;
+        const ROUNDS: usize = 50;
+        let dir = scratch_dir("race");
+        let path = dir.join("shared.bin");
+        let payloads: Vec<Vec<u8>> = (0..WRITERS)
+            .map(|w| vec![b'a' + w as u8; 4096 + w])
+            .collect();
+        // Every round releases all writers at once, so their staging files
+        // overlap in time. Failures are counted, not unwrapped, so a failing
+        // writer keeps meeting the barrier and the test fails instead of
+        // hanging.
+        let barrier = std::sync::Barrier::new(WRITERS);
+        let failed: usize = std::thread::scope(|s| {
+            let writers: Vec<_> = payloads
+                .iter()
+                .map(|payload| {
+                    let (path, barrier) = (&path, &barrier);
+                    s.spawn(move || {
+                        (0..ROUNDS)
+                            .filter(|_| {
+                                barrier.wait();
+                                write_atomic(path, payload).is_err()
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            writers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert_eq!(failed, 0, "every concurrent write must succeed");
+        let last = std::fs::read(&path).unwrap();
+        assert!(
+            payloads.contains(&last),
+            "the file must be exactly one writer's payload"
+        );
+        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(Result::ok)
+            .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
+            .collect();
+        assert!(leftovers.is_empty(), "staging files must not survive");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

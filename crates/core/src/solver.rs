@@ -31,33 +31,52 @@
 //! # Ok::<(), cc_core::CcError>(())
 //! ```
 
+use std::sync::Arc;
+
 use cc_clique::RoundLedger;
 use cc_graphs::{Dist, DistStorage, Graph, INF};
+use cc_routes::PathStore;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 use crate::apsp2::{self, Apsp2, Apsp2Config};
 use crate::apsp3::{self, Apsp3, Apsp3Config};
 use crate::apsp_additive::{self, AdditiveApsp, AdditiveApspConfig};
 use crate::error::CcError;
+use crate::estimates::DistanceMatrix;
 use crate::mssp::{self, Mssp, MsspConfig};
 use crate::oracle::{DistOracle, Guarantee, PointEstimate};
 use crate::path_oracle::{PathOracle, PathProvider};
-use crate::pipeline::{Mode, Substrates};
+use crate::pipeline::Substrates;
 
 /// Randomized (seeded) or deterministic execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Execution {
     /// Randomized with the given seed (Thms 3–5). Every query draws a fresh
-    /// generator from the seed, so the **first** query of a session matches
-    /// the corresponding free-function call with the same seed bit-for-bit.
+    /// `StdRng` from the seed, so the **first** query of a session is
+    /// bit-identical to the pipeline's one-shot `run` given
+    /// `Some(&mut StdRng::seed_from_u64(seed))` (e.g. [`apsp2::run`]).
     /// Later queries reuse cached substrates and therefore consume the
     /// random stream from a different position than a cold run would — still
     /// deterministic per (seed, query history), and every approximation
     /// guarantee holds, but not stream-identical to a fresh call.
     Seeded(u64),
-    /// Deterministic (Thms 51–53): bit-for-bit reproducible.
+    /// Deterministic (Thms 51–53): bit-for-bit reproducible, the same as a
+    /// one-shot `run` given `None`.
     Deterministic,
+}
+
+impl Execution {
+    /// Hands `f` the `rng` argument of the pipelines' `run`: a fresh
+    /// generator seeded from the seed, or `None` for the deterministic
+    /// variants. Every query and every [`crate::Algorithm`] impl goes
+    /// through here.
+    pub(crate) fn with_rng<T>(self, f: impl FnOnce(Option<&mut dyn RngCore>) -> T) -> T {
+        match self {
+            Execution::Seeded(seed) => f(Some(&mut StdRng::seed_from_u64(seed))),
+            Execution::Deterministic => f(None),
+        }
+    }
 }
 
 /// Which parameter schedule the solver instantiates its pipelines with.
@@ -268,21 +287,82 @@ struct MergedTables {
     origins: Vec<u8>,
 }
 
-/// Runs `body` with a fresh per-query mode derived from `execution`.
-macro_rules! with_mode {
-    ($execution:expr, |$mode:ident| $body:expr) => {{
-        match $execution {
-            Execution::Seeded(seed) => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let $mode = Mode::Rng(&mut rng);
-                $body
-            }
-            Execution::Deterministic => {
-                let $mode = Mode::Det;
-                $body
+/// One computed result, as the merge order of [`Solver::computed`] yields
+/// it.
+struct Computed<'a> {
+    /// The provenance every estimate of the result is served under.
+    guarantee: Guarantee,
+    values: Values<'a>,
+}
+
+/// The estimates (and witness store, when recorded) of one result.
+enum Values<'a> {
+    /// An all-pairs result: apsp3, apsp2 or the near-additive APSP.
+    Matrix(&'a DistanceMatrix, Option<&'a Arc<PathStore>>),
+    /// An MSSP batch.
+    Rows(&'a Mssp),
+}
+
+impl<'a> Computed<'a> {
+    fn matrix(
+        estimates: &'a DistanceMatrix,
+        guarantee: Guarantee,
+        paths: Option<&'a Arc<PathStore>>,
+    ) -> Self {
+        Computed {
+            guarantee,
+            values: Values::Matrix(estimates, paths),
+        }
+    }
+
+    /// Feeds every estimate this result holds for `(u, v)` to `consider`.
+    fn candidates(&self, u: usize, v: usize, mut consider: impl FnMut(Dist)) {
+        match self.values {
+            Values::Matrix(m, _) => consider(m.get(u, v)),
+            Values::Rows(batch) => {
+                for (i, &s) in batch.sources.iter().enumerate() {
+                    if s == u {
+                        consider(batch.estimates[i][v]);
+                    }
+                    if s == v {
+                        consider(batch.estimates[i][u]);
+                    }
+                }
             }
         }
-    }};
+    }
+
+    /// Visits every stored estimate as `(packed index, on the diagonal,
+    /// value)`: the upper triangle row by row for a matrix, each source row
+    /// in order for an MSSP batch.
+    fn for_each_packed(&self, n: usize, mut visit: impl FnMut(usize, bool, Dist)) {
+        match self.values {
+            Values::Matrix(m, _) => {
+                let mut idx = 0;
+                for u in 0..n {
+                    for (v, &d) in m.row(u).iter().enumerate().skip(u) {
+                        visit(idx, v == u, d);
+                        idx += 1;
+                    }
+                }
+            }
+            Values::Rows(batch) => {
+                for (i, &s) in batch.sources.iter().enumerate() {
+                    for (v, &d) in batch.estimates[i].iter().enumerate() {
+                        visit(DistStorage::packed_index(n, s, v), v == s, d);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The result's witness store as a route provider, if it was recorded.
+    fn provider(&self) -> Option<PathProvider> {
+        match self.values {
+            Values::Matrix(_, paths) => paths.cloned().map(PathProvider::Pairs),
+            Values::Rows(batch) => batch.paths.clone().map(PathProvider::Rows),
+        }
+    }
 }
 
 impl Solver {
@@ -374,15 +454,17 @@ impl Solver {
     /// fails validation.
     pub fn apsp_2eps(&mut self) -> Result<Apsp2, CcError> {
         if self.apsp2_result.is_none() {
-            let started = self.substrates.stages.borrow().start();
-            let out = with_mode!(self.execution, |mode| apsp2::run_mode(
-                &self.graph,
-                &self.apsp2_cfg,
-                mode,
-                &mut self.ledger,
-                &mut self.substrates,
-            ))?;
-            self.substrates.stages.borrow_mut().stop("apsp2", started);
+            let out = self.substrates.timed("apsp2", |subs| {
+                self.execution.with_rng(|rng| {
+                    apsp2::run_mode(
+                        &self.graph,
+                        &self.apsp2_cfg,
+                        rng.into(),
+                        &mut self.ledger,
+                        subs,
+                    )
+                })
+            })?;
             self.apsp2_result = Some(out);
         }
         Ok(self.apsp2_result.clone().expect("memoized above"))
@@ -396,15 +478,17 @@ impl Solver {
     /// fails validation.
     pub fn apsp_3eps(&mut self) -> Result<Apsp3, CcError> {
         if self.apsp3_result.is_none() {
-            let started = self.substrates.stages.borrow().start();
-            let out = with_mode!(self.execution, |mode| apsp3::run_mode(
-                &self.graph,
-                &self.apsp3_cfg,
-                mode,
-                &mut self.ledger,
-                &mut self.substrates,
-            ))?;
-            self.substrates.stages.borrow_mut().stop("apsp3", started);
+            let out = self.substrates.timed("apsp3", |subs| {
+                self.execution.with_rng(|rng| {
+                    apsp3::run_mode(
+                        &self.graph,
+                        &self.apsp3_cfg,
+                        rng.into(),
+                        &mut self.ledger,
+                        subs,
+                    )
+                })
+            })?;
             self.apsp3_result = Some(out);
         }
         Ok(self.apsp3_result.clone().expect("memoized above"))
@@ -418,18 +502,17 @@ impl Solver {
     /// `Result` for uniformity with the other queries.
     pub fn apsp_near_additive(&mut self) -> Result<AdditiveApsp, CcError> {
         if self.additive_result.is_none() {
-            let started = self.substrates.stages.borrow().start();
-            let out = with_mode!(self.execution, |mode| apsp_additive::run_mode(
-                &self.graph,
-                &self.additive_cfg,
-                mode,
-                &mut self.ledger,
-                &mut self.substrates,
-            ));
-            self.substrates
-                .stages
-                .borrow_mut()
-                .stop("additive", started);
+            let out = self.substrates.timed("additive", |subs| {
+                self.execution.with_rng(|rng| {
+                    apsp_additive::run_mode(
+                        &self.graph,
+                        &self.additive_cfg,
+                        rng.into(),
+                        &mut self.ledger,
+                        subs,
+                    )
+                })
+            });
             self.additive_result = Some(out);
         }
         Ok(self.additive_result.clone().expect("memoized above"))
@@ -447,66 +530,50 @@ impl Solver {
         if let Some((_, out)) = self.mssp_results.iter().find(|(s, _)| s == sources) {
             return Ok(out.clone());
         }
-        let started = self.substrates.stages.borrow().start();
-        let out = with_mode!(self.execution, |mode| mssp::run_mode(
-            &self.graph,
-            sources,
-            &self.mssp_cfg,
-            mode,
-            &mut self.ledger,
-            &mut self.substrates,
-        ))?;
-        self.substrates.stages.borrow_mut().stop("mssp", started);
+        let out = self.substrates.timed("mssp", |subs| {
+            self.execution.with_rng(|rng| {
+                mssp::run_mode(
+                    &self.graph,
+                    sources,
+                    &self.mssp_cfg,
+                    rng.into(),
+                    &mut self.ledger,
+                    subs,
+                )
+            })
+        })?;
         self.mssp_results.push((sources.to_vec(), out.clone()));
         Ok(out)
     }
 
-    /// Feeds every estimate any computed result holds for `(u, v)` — with
-    /// the guarantee that result proved — to `consider`.
-    fn for_each_candidate(&self, u: usize, v: usize, mut consider: impl FnMut(Dist, Guarantee)) {
-        if let Some(r) = &self.apsp3_result {
-            consider(r.estimates.get(u, v), r.guarantee());
-        }
-        if let Some(r) = &self.apsp2_result {
-            consider(r.estimates.get(u, v), r.guarantee());
-        }
-        if let Some(r) = &self.additive_result {
-            consider(r.estimates.get(u, v), r.guarantee());
-        }
-        for (_, m) in &self.mssp_results {
-            let g = m.guarantee_tag();
-            for (i, &s) in m.sources.iter().enumerate() {
-                if s == u {
-                    consider(m.estimates[i][v], g);
-                }
-                if s == v {
-                    consider(m.estimates[i][u], g);
-                }
-            }
-        }
-    }
-
-    /// The strongest guarantee among the results computed so far.
-    fn strongest_computed(&self) -> Option<Guarantee> {
-        let mut best: Option<Guarantee> = None;
-        let mut upd = |g: Guarantee| {
-            if best.is_none_or(|b| g.stronger_than(&b)) {
-                best = Some(g);
-            }
-        };
-        if let Some(r) = &self.apsp3_result {
-            upd(r.guarantee());
-        }
-        if let Some(r) = &self.apsp2_result {
-            upd(r.guarantee());
-        }
-        if let Some(r) = &self.additive_result {
-            upd(r.guarantee());
-        }
-        for (_, m) in &self.mssp_results {
-            upd(m.guarantee_tag());
-        }
-        best
+    /// Every computed result in merge order: apsp3, apsp2, the
+    /// near-additive APSP, then the MSSP batches in the order they were
+    /// first queried. A result's position here is its origin (provider)
+    /// number in [`Solver::freeze_with_paths`]; together with the
+    /// tie-break of [`Solver::estimate`] it decides which result wins a
+    /// pair.
+    fn computed(&self) -> impl Iterator<Item = Computed<'_>> {
+        let apsp3 = self
+            .apsp3_result
+            .as_ref()
+            .map(|r| Computed::matrix(&r.estimates, r.guarantee(), r.paths.as_ref()));
+        let apsp2 = self
+            .apsp2_result
+            .as_ref()
+            .map(|r| Computed::matrix(&r.estimates, r.guarantee(), r.paths.as_ref()));
+        let additive = self
+            .additive_result
+            .as_ref()
+            .map(|r| Computed::matrix(&r.estimates, r.guarantee(), r.paths.as_ref()));
+        let batches = self.mssp_results.iter().map(|(_, m)| Computed {
+            guarantee: m.guarantee_tag(),
+            values: Values::Rows(m),
+        });
+        apsp3
+            .into_iter()
+            .chain(apsp2)
+            .chain(additive)
+            .chain(batches)
     }
 
     /// Cheap tagged point lookup over everything computed so far: the best
@@ -526,26 +593,34 @@ impl Solver {
             return None;
         }
         if u == v {
+            // The strongest guarantee computed so far; the first seen on
+            // ties.
             return self
-                .strongest_computed()
+                .computed()
+                .map(|c| c.guarantee)
+                .reduce(|best, g| if g.stronger_than(&best) { g } else { best })
                 .map(|guarantee| PointEstimate { dist: 0, guarantee });
         }
         let mut best: Option<PointEstimate> = None;
-        self.for_each_candidate(u, v, |d, g| {
-            if d >= INF {
-                return;
-            }
-            let wins = match &best {
-                Some(b) => d < b.dist || (d == b.dist && g.stronger_than(&b.guarantee)),
-                None => true,
-            };
-            if wins {
-                best = Some(PointEstimate {
-                    dist: d,
-                    guarantee: g,
-                });
-            }
-        });
+        for c in self.computed() {
+            c.candidates(u, v, |d| {
+                if d >= INF {
+                    return;
+                }
+                let wins = match &best {
+                    Some(b) => {
+                        d < b.dist || (d == b.dist && c.guarantee.stronger_than(&b.guarantee))
+                    }
+                    None => true,
+                };
+                if wins {
+                    best = Some(PointEstimate {
+                        dist: d,
+                        guarantee: c.guarantee,
+                    });
+                }
+            });
+        }
         best
     }
 
@@ -605,27 +680,10 @@ impl Solver {
         let started = self.substrates.stages.borrow().start();
         let merged = self.merged_tables()?;
         // Providers in the exact order `merged_tables` numbered them.
-        let mut providers: Vec<PathProvider> = Vec::new();
-        if let Some(r) = &self.apsp3_result {
-            providers.push(PathProvider::Pairs(
-                r.paths.clone().expect("recorded session result"),
-            ));
-        }
-        if let Some(r) = &self.apsp2_result {
-            providers.push(PathProvider::Pairs(
-                r.paths.clone().expect("recorded session result"),
-            ));
-        }
-        if let Some(r) = &self.additive_result {
-            providers.push(PathProvider::Pairs(
-                r.paths.clone().expect("recorded session result"),
-            ));
-        }
-        for (_, m) in &self.mssp_results {
-            providers.push(PathProvider::Rows(
-                m.paths.clone().expect("recorded session result"),
-            ));
-        }
+        let providers: Vec<PathProvider> = self
+            .computed()
+            .map(|c| c.provider().expect("recorded session result"))
+            .collect();
         let oracle = DistOracle::from_tagged_packed(n, merged.data, merged.tags, merged.guarantees);
         let frozen = PathOracle::new(oracle, merged.origins, providers);
         self.substrates.stages.borrow_mut().stop("freeze", started);
@@ -634,10 +692,14 @@ impl Solver {
 
     /// The shared freeze merge: pointwise-best packed values, provenance
     /// tags, and — for the path oracle — the index of the result whose
-    /// estimate (and therefore witness) won each pair. Results are numbered
-    /// in the order they are merged: apsp3, apsp2, additive, then each MSSP
-    /// batch.
+    /// estimate (and therefore witness) won each pair. Results are merged
+    /// and numbered in [`Solver::computed`] order.
     fn merged_tables(&self) -> Result<MergedTables, CcError> {
+        if self.computed().next().is_none() {
+            return Err(CcError::UnsupportedQuery {
+                reason: "nothing to freeze: run a pipeline query (apsp_2eps, mssp, …) first".into(),
+            });
+        }
         let n = self.graph.n();
         // Dedup guarantees into a small table (repeat MSSP batches share
         // one entry); the per-entry tag bytes index into it.
@@ -654,83 +716,21 @@ impl Solver {
         let mut data = vec![INF; entries];
         let mut tags = vec![0u8; entries];
         let mut origins = vec![0u8; entries];
-        let merge = |idx: usize,
-                     d: Dist,
-                     tag: u8,
-                     origin: u8,
-                     data: &mut [Dist],
-                     tags: &mut [u8],
-                     origins: &mut [u8],
-                     table: &[Guarantee]| {
-            let wins = d < data[idx]
-                || (d < INF
-                    && d == data[idx]
-                    && table[tag as usize].stronger_than(&table[tags[idx] as usize]));
-            if wins {
-                data[idx] = d;
-                tags[idx] = tag;
-                origins[idx] = origin;
-            }
-        };
         // One origin byte per winning result. The byte can only wrap past
         // 256 results; `freeze()` never reads origins, and
         // `freeze_with_paths()` rejects such sessions before using them.
-        let mut origin: usize = 0;
-        let mut frozen_any = false;
-        let mut matrix_layers = Vec::new();
-        if let Some(r) = &self.apsp3_result {
-            matrix_layers.push((&r.estimates, r.guarantee()));
-        }
-        if let Some(r) = &self.apsp2_result {
-            matrix_layers.push((&r.estimates, r.guarantee()));
-        }
-        if let Some(r) = &self.additive_result {
-            matrix_layers.push((&r.estimates, r.guarantee()));
-        }
-        for (m, g) in matrix_layers {
-            frozen_any = true;
-            let tag = tag_for(g, &mut guarantees);
-            let mut idx = 0;
-            for u in 0..n {
-                let row = m.row(u);
-                for &d in &row[u..] {
-                    merge(
-                        idx,
-                        d,
-                        tag,
-                        origin as u8,
-                        &mut data,
-                        &mut tags,
-                        &mut origins,
-                        &guarantees,
-                    );
-                    idx += 1;
+        for (origin, c) in self.computed().enumerate() {
+            let tag = tag_for(c.guarantee, &mut guarantees);
+            c.for_each_packed(n, |idx, _, d| {
+                let wins = d < data[idx]
+                    || (d < INF
+                        && d == data[idx]
+                        && guarantees[tag as usize].stronger_than(&guarantees[tags[idx] as usize]));
+                if wins {
+                    data[idx] = d;
+                    tags[idx] = tag;
+                    origins[idx] = origin as u8;
                 }
-            }
-            origin += 1;
-        }
-        for (_, m) in &self.mssp_results {
-            frozen_any = true;
-            let tag = tag_for(m.guarantee_tag(), &mut guarantees);
-            for (i, &s) in m.sources.iter().enumerate() {
-                for (v, &d) in m.estimates[i].iter().enumerate() {
-                    merge(
-                        DistStorage::packed_index(n, s, v),
-                        d,
-                        tag,
-                        origin as u8,
-                        &mut data,
-                        &mut tags,
-                        &mut origins,
-                        &guarantees,
-                    );
-                }
-            }
-            origin += 1;
-        }
-        if !frozen_any {
-            return Err(CcError::UnsupportedQuery {
-                reason: "nothing to freeze: run a pipeline query (apsp_2eps, mssp, …) first".into(),
             });
         }
         Ok(MergedTables {
@@ -747,34 +747,10 @@ impl Solver {
     pub fn cached_pairs(&self) -> usize {
         let n = self.graph.n();
         let mut covered = vec![false; n * (n + 1) / 2];
-        let mut matrices = Vec::new();
-        if let Some(r) = &self.apsp3_result {
-            matrices.push(&r.estimates);
-        }
-        if let Some(r) = &self.apsp2_result {
-            matrices.push(&r.estimates);
-        }
-        if let Some(r) = &self.additive_result {
-            matrices.push(&r.estimates);
-        }
-        for m in matrices {
-            let mut idx = 0;
-            for u in 0..n {
-                let row = m.row(u);
-                for (v, &d) in row.iter().enumerate().skip(u) {
-                    covered[idx] |= v != u && d < INF;
-                    idx += 1;
-                }
-            }
-        }
-        for (_, m) in &self.mssp_results {
-            for (i, &s) in m.sources.iter().enumerate() {
-                for (v, &d) in m.estimates[i].iter().enumerate() {
-                    if v != s && d < INF {
-                        covered[DistStorage::packed_index(n, s, v)] = true;
-                    }
-                }
-            }
+        for c in self.computed() {
+            c.for_each_packed(n, |idx, diagonal, d| {
+                covered[idx] |= !diagonal && d < INF;
+            });
         }
         // Estimates are symmetric, so each covered unordered pair counts
         // for both orientations.
@@ -1187,6 +1163,149 @@ mod tests {
                 assert_eq!(back.path(u, v), oracle.path(u, v), "({u},{v})");
             }
         }
+    }
+
+    /// The freeze merge, the route providers and `estimate` all read
+    /// results in `Solver::computed` order, never in call order: two
+    /// sessions issuing the same queries in different orders must freeze
+    /// to the same bytes and answer every pair alike.
+    #[test]
+    fn call_order_does_not_change_the_merge() {
+        let g = generators::caveman(6, 6);
+        let session = |record: bool, queries: &[&str]| {
+            let mut solver = SolverBuilder::new(g.clone())
+                .eps(0.5)
+                .execution(Execution::Deterministic)
+                .record_paths(record)
+                .build()
+                .unwrap();
+            for &q in queries {
+                match q {
+                    "apsp3" => drop(solver.apsp_3eps().unwrap()),
+                    "apsp2" => drop(solver.apsp_2eps().unwrap()),
+                    "additive" => drop(solver.apsp_near_additive().unwrap()),
+                    "mssp-a" => drop(solver.mssp(&[0, 7, 14]).unwrap()),
+                    "mssp-b" => drop(solver.mssp(&[3, 20]).unwrap()),
+                    other => unreachable!("{other}"),
+                }
+            }
+            solver
+        };
+        let forward = ["apsp3", "apsp2", "additive", "mssp-a", "mssp-b"];
+        let shuffled = ["mssp-a", "additive", "apsp2", "mssp-b", "apsp3"];
+        let v2 = |oracle: DistOracle| {
+            let mut buf = Vec::new();
+            oracle.save_v2(&mut buf).unwrap();
+            buf
+        };
+        let (a, b) = (session(false, &forward), session(false, &shuffled));
+        assert_eq!(v2(a.freeze().unwrap()), v2(b.freeze().unwrap()));
+        for u in 0..g.n() {
+            for v in 0..g.n() {
+                assert_eq!(a.estimate(u, v), b.estimate(u, v), "({u},{v})");
+            }
+        }
+        let (a, b) = (session(true, &forward), session(true, &shuffled));
+        let paths_v2 = |solver: &Solver| {
+            let mut buf = Vec::new();
+            solver
+                .freeze_with_paths()
+                .unwrap()
+                .save_v2(&mut buf)
+                .unwrap();
+            buf
+        };
+        assert_eq!(paths_v2(&a), paths_v2(&b));
+    }
+
+    /// Pins the view order itself against a naive reference merge: origin
+    /// `k` is the `k`-th of apsp3, apsp2, additive, then the MSSP batches in
+    /// insertion order; a strictly lower estimate wins, ties go to the
+    /// strictly stronger guarantee, and the first seen keeps the pair
+    /// otherwise.
+    #[test]
+    fn freeze_with_paths_numbers_providers_in_view_order() {
+        let g = generators::caveman(6, 6);
+        let n = g.n();
+        let mut solver = SolverBuilder::new(g)
+            .eps(0.5)
+            .execution(Execution::Deterministic)
+            .record_paths(true)
+            .build()
+            .unwrap();
+        let b1 = solver.mssp(&[0, 7, 14]).unwrap();
+        let add = solver.apsp_near_additive().unwrap();
+        let a2 = solver.apsp_2eps().unwrap();
+        let b2 = solver.mssp(&[3, 20]).unwrap();
+        let a3 = solver.apsp_3eps().unwrap();
+
+        // Reference view: guarantees, per-pair candidates and providers of
+        // the five results in the documented order.
+        let guarantees = [
+            a3.guarantee(),
+            a2.guarantee(),
+            add.guarantee(),
+            b1.guarantee_tag(),
+            b2.guarantee_tag(),
+        ];
+        let candidates = |k: usize, u: usize, v: usize| -> Vec<Dist> {
+            let batch = match k {
+                0 => return vec![a3.estimates.get(u, v)],
+                1 => return vec![a2.estimates.get(u, v)],
+                2 => return vec![add.estimates.get(u, v)],
+                3 => &b1,
+                _ => &b2,
+            };
+            let mut out = Vec::new();
+            for (i, &s) in batch.sources.iter().enumerate() {
+                if s == u {
+                    out.push(batch.estimates[i][v]);
+                }
+                if s == v {
+                    out.push(batch.estimates[i][u]);
+                }
+            }
+            out
+        };
+        let providers = vec![
+            PathProvider::Pairs(a3.paths.clone().unwrap()),
+            PathProvider::Pairs(a2.paths.clone().unwrap()),
+            PathProvider::Pairs(add.paths.clone().unwrap()),
+            PathProvider::Rows(b1.paths.clone().unwrap()),
+            PathProvider::Rows(b2.paths.clone().unwrap()),
+        ];
+        let oracle = solver.freeze().unwrap();
+        let mut origins = vec![0u8; n * (n + 1) / 2];
+        for u in 0..n {
+            for v in u..n {
+                let mut best: Option<(Dist, Guarantee, u8)> = None;
+                for (k, guarantee) in guarantees.iter().enumerate() {
+                    for d in candidates(k, u, v) {
+                        let wins = d < INF
+                            && best.is_none_or(|(bd, bg, _)| {
+                                d < bd || (d == bd && guarantee.stronger_than(&bg))
+                            });
+                        if wins {
+                            best = Some((d, *guarantee, k as u8));
+                        }
+                    }
+                }
+                if let Some((d, guarantee, k)) = best {
+                    // The diagonal answers under the strongest guarantee
+                    // computed; every other pair under its winner's.
+                    if u != v {
+                        assert_eq!(
+                            oracle.dist(u, v),
+                            Some(PointEstimate { dist: d, guarantee }),
+                            "({u},{v})"
+                        );
+                    }
+                    origins[DistStorage::packed_index(n, u, v)] = k;
+                }
+            }
+        }
+        let expected = PathOracle::new(oracle, origins, providers);
+        assert_eq!(solver.freeze_with_paths().unwrap(), expected);
     }
 
     #[test]

@@ -70,7 +70,10 @@ pub use cc_matrix as matrix;
 pub use cc_routes as routes;
 pub use cc_toolkit as toolkit;
 
-/// One-stop imports for the common workflow.
+/// One-stop imports for the common workflow: the [`core::Solver`] session
+/// API, and the pipeline modules whose one-shot `run(…, rng, …)` takes
+/// `Some(&mut rng)` for the randomized variant or `None` for the
+/// deterministic one.
 pub mod prelude {
     pub use cc_clique::RoundLedger;
     pub use cc_core::apsp2::{self, Apsp2Config};

@@ -27,7 +27,7 @@ fn additive_apsp_respects_bounds_everywhere() {
     for (name, g) in families(10) {
         let cfg = AdditiveApspConfig::new(g.n(), 0.25, 2).expect("valid");
         let mut ledger = RoundLedger::new(g.n());
-        let out = apsp_additive::run(&g, &cfg, &mut rng, &mut ledger);
+        let out = apsp_additive::run(&g, &cfg, Some(&mut rng), &mut ledger);
         let exact = bfs::apsp_exact(&g);
         let report = stretch::evaluate(
             &exact,
@@ -47,7 +47,7 @@ fn two_plus_eps_short_range_everywhere() {
     for (name, g) in families(20) {
         let cfg = Apsp2Config::new(g.n(), 0.5, 2).expect("valid");
         let mut ledger = RoundLedger::new(g.n());
-        let out = apsp2::run(&g, &cfg, &mut rng, &mut ledger).expect("apsp2");
+        let out = apsp2::run(&g, &cfg, Some(&mut rng), &mut ledger).expect("apsp2");
         let exact = bfs::apsp_exact(&g);
         let report = stretch::evaluate_range(&exact, out.estimates.as_fn(), 0.0, 1, out.t);
         assert_eq!(report.lower_violations, 0, "{name}");
@@ -66,9 +66,9 @@ fn deterministic_variants_agree_with_bounds_and_reproduce() {
     for (name, g) in families(30) {
         let cfg = Apsp2Config::new(g.n(), 0.5, 2).expect("valid");
         let mut l1 = RoundLedger::new(g.n());
-        let a = apsp2::run_deterministic(&g, &cfg, &mut l1).expect("apsp2 det");
+        let a = apsp2::run(&g, &cfg, None, &mut l1).expect("apsp2 det");
         let mut l2 = RoundLedger::new(g.n());
-        let b = apsp2::run_deterministic(&g, &cfg, &mut l2).expect("apsp2 det");
+        let b = apsp2::run(&g, &cfg, None, &mut l2).expect("apsp2 det");
         assert_eq!(a.estimates, b.estimates, "{name}: determinism violated");
         assert_eq!(l1.total_rounds(), l2.total_rounds(), "{name}");
         let exact = bfs::apsp_exact(&g);
@@ -87,7 +87,7 @@ fn three_plus_eps_is_weaker_but_valid() {
     for (name, g) in families(40) {
         let cfg = Apsp3Config::new(g.n(), 0.5, 2).expect("valid");
         let mut ledger = RoundLedger::new(g.n());
-        let out = apsp3::run(&g, &cfg, &mut rng, &mut ledger).expect("apsp3");
+        let out = apsp3::run(&g, &cfg, Some(&mut rng), &mut ledger).expect("apsp3");
         let exact = bfs::apsp_exact(&g);
         let report = stretch::evaluate_range(&exact, out.estimates.as_fn(), 0.0, 1, out.t);
         assert_eq!(report.lower_violations, 0, "{name}");
@@ -108,7 +108,7 @@ fn estimates_obey_triangle_inequality_through_merges() {
     let g = generators::caveman(6, 6);
     let cfg = Apsp2Config::new(g.n(), 0.5, 2).expect("valid");
     let mut ledger = RoundLedger::new(g.n());
-    let out = apsp2::run(&g, &cfg, &mut rng, &mut ledger).expect("apsp2");
+    let out = apsp2::run(&g, &cfg, Some(&mut rng), &mut ledger).expect("apsp2");
     let exact = bfs::apsp_exact(&g);
     for u in 0..g.n() {
         for v in 0..g.n() {

@@ -156,7 +156,7 @@ fn ledger_breakdown_is_complete() {
     let g = generators::caveman(6, 6);
     let cfg = Apsp2Config::new(g.n(), 0.5, 2).expect("valid");
     let mut ledger = RoundLedger::new(g.n());
-    let _ = apsp2::run(&g, &cfg, &mut rng, &mut ledger).expect("apsp2");
+    let _ = apsp2::run(&g, &cfg, Some(&mut rng), &mut ledger).expect("apsp2");
     let by_phase: u64 = ledger.by_phase().values().sum();
     assert_eq!(by_phase, ledger.total_rounds());
     assert!(ledger.report().contains("apsp2"));

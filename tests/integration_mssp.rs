@@ -39,7 +39,7 @@ fn mssp_one_plus_eps_across_families_and_source_patterns() {
             vec![(0..n).step_by(9).collect(), (0..6).collect(), vec![n / 2]];
         for (pi, sources) in patterns.iter().enumerate() {
             let mut ledger = RoundLedger::new(n);
-            let out = mssp::run(&g, sources, &cfg, &mut rng, &mut ledger)
+            let out = mssp::run(&g, sources, &cfg, Some(&mut rng), &mut ledger)
                 .unwrap_or_else(|e| panic!("{name}/{pi}: {e}"));
             check_short_range(&g, &out, cfg.eps, &format!("{name}/{pi}"));
         }
@@ -52,9 +52,9 @@ fn deterministic_mssp_reproduces_and_satisfies() {
     let cfg = MsspConfig::new(g.n(), 0.5, 2).expect("valid");
     let sources = [0usize, 13, 26, 39];
     let mut l1 = RoundLedger::new(g.n());
-    let a = mssp::run_deterministic(&g, &sources, &cfg, &mut l1).unwrap();
+    let a = mssp::run(&g, &sources, &cfg, None, &mut l1).unwrap();
     let mut l2 = RoundLedger::new(g.n());
-    let b = mssp::run_deterministic(&g, &sources, &cfg, &mut l2).unwrap();
+    let b = mssp::run(&g, &sources, &cfg, None, &mut l2).unwrap();
     assert_eq!(a.estimates, b.estimates);
     check_short_range(&g, &a, cfg.eps, "det");
 }
@@ -67,7 +67,7 @@ fn single_source_is_a_special_case() {
     let g = generators::grid(9, 9);
     let cfg = MsspConfig::new(g.n(), 0.25, 2).expect("valid");
     let mut ledger = RoundLedger::new(g.n());
-    let out = mssp::run(&g, &[40], &cfg, &mut rng, &mut ledger).unwrap();
+    let out = mssp::run(&g, &[40], &cfg, Some(&mut rng), &mut ledger).unwrap();
     check_short_range(&g, &out, cfg.eps, "sssp");
 }
 
@@ -78,7 +78,7 @@ fn estimates_cover_all_vertices_on_connected_input() {
     let cfg = MsspConfig::new(g.n(), 0.5, 2).expect("valid");
     let sources = [0usize, 25];
     let mut ledger = RoundLedger::new(g.n());
-    let out = mssp::run(&g, &sources, &cfg, &mut rng, &mut ledger).unwrap();
+    let out = mssp::run(&g, &sources, &cfg, Some(&mut rng), &mut ledger).unwrap();
     for i in 0..sources.len() {
         for v in 0..g.n() {
             assert!(out.dist(i, v) < INF, "source {i} missing vertex {v}");

@@ -212,7 +212,7 @@ proptest! {
         let cfg = Apsp2Config::scaled(n, 0.5).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut ledger = RoundLedger::new(n);
-        let direct = apsp2::run(&g, &cfg, &mut rng, &mut ledger).unwrap();
+        let direct = apsp2::run(&g, &cfg, Some(&mut rng), &mut ledger).unwrap();
 
         prop_assert_eq!(&via_solver.estimates, &direct.estimates);
         prop_assert_eq!(via_solver.t, direct.t);
@@ -235,7 +235,7 @@ proptest! {
         let cfg = MsspConfig::scaled(n, 0.5).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut ledger = RoundLedger::new(n);
-        let direct = mssp::run(&g, &sources, &cfg, &mut rng, &mut ledger).unwrap();
+        let direct = mssp::run(&g, &sources, &cfg, Some(&mut rng), &mut ledger).unwrap();
 
         prop_assert_eq!(&via_solver.estimates, &direct.estimates);
         prop_assert_eq!(via_solver.t, direct.t);
@@ -255,7 +255,7 @@ proptest! {
 
         let cfg = Apsp2Config::scaled(n, 0.5).unwrap();
         let mut ledger = RoundLedger::new(n);
-        let direct = apsp2::run_deterministic(&g, &cfg, &mut ledger).unwrap();
+        let direct = apsp2::run(&g, &cfg, None, &mut ledger).unwrap();
         prop_assert_eq!(&via_solver.estimates, &direct.estimates);
     }
 }

@@ -128,7 +128,7 @@ fn apsp2_on_small_world_and_hypercube() {
         }
         let cfg = Apsp2Config::new(g.n(), 0.5, 2).expect("valid");
         let mut ledger = RoundLedger::new(g.n());
-        let out = apsp2::run(&g, &cfg, &mut rng, &mut ledger).expect("apsp2");
+        let out = apsp2::run(&g, &cfg, Some(&mut rng), &mut ledger).expect("apsp2");
         let exact = bfs::apsp_exact(&g);
         let report = stretch::evaluate_range(&exact, out.estimates.as_fn(), 0.0, 1, out.t);
         assert_eq!(report.lower_violations, 0, "{name}");

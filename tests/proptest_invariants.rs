@@ -109,7 +109,7 @@ proptest! {
         let cfg = AdditiveApspConfig::new(g.n(), 0.3, 2).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut ledger = RoundLedger::new(g.n());
-        let out = apsp_additive::run(&g, &cfg, &mut rng, &mut ledger);
+        let out = apsp_additive::run(&g, &cfg, Some(&mut rng), &mut ledger);
         let exact = bfs::apsp_exact(&g);
         for u in 0..g.n() {
             for v in 0..g.n() {
