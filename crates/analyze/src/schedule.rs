@@ -5,8 +5,9 @@
 //! *patterns* that produce nondeterminism; this module attacks the running
 //! code. Every iteration re-runs the workspace's parallel surfaces — the
 //! plain and witness-carrying min-plus kernels (sparse and dense), the
-//! source-sharded hop-limited kernel with parent rows, the sharded
-//! congested-clique engine, and periodically a loopback `ccd` burst —
+//! source-sharded hop-limited kernel with parent rows, the vertex-sharded
+//! truncated-BFS `(k,d)`-nearest lists, the sharded congested-clique
+//! engine, and periodically a loopback `ccd` burst —
 //! under a perturbed schedule: randomized thread counts, worker
 //! and batch-size choices (which move the queue-pop coalescing points),
 //! client-side send jitter, and background yield-spinner threads that
@@ -27,12 +28,14 @@ use std::time::Duration;
 use cc_clique::engine::{Engine, EngineConfig};
 use cc_clique::programs::AllGather;
 use cc_clique::NodeId;
+use cc_clique::RoundLedger;
 use cc_core::{DistOracle, DistanceMatrix, Guarantee, PointEstimate};
 use cc_graphs::dijkstra::{hop_limited, HopLanes};
-use cc_graphs::{Dist, StorageKind, WeightedGraph};
+use cc_graphs::{Dist, Graph, StorageKind, WeightedGraph};
 use cc_matrix::{DenseMatrix, MinplusWorkspace, RowBuilder, SparseMatrix};
 use cc_serve::snapshot::Oracles;
 use cc_serve::{serve, Client, ServerConfig};
+use cc_toolkit::knearest::{KNearest, Strategy};
 
 use crate::fuzz::Xorshift;
 
@@ -63,7 +66,7 @@ pub struct ScheduleSummary {
     /// Iterations completed.
     pub iterations: u64,
     /// Kernel comparisons performed (sparse/dense × plain/witness,
-    /// hop-limited, engine).
+    /// hop-limited, k-nearest, engine).
     pub comparisons: u64,
     /// Loopback `ccd` bursts performed.
     pub serve_bursts: u64,
@@ -77,6 +80,11 @@ const KERNEL_N: usize = 48;
 const HOP_N: usize = 40;
 /// Hop bound of the hop-limited searches.
 const HOP_H: usize = 6;
+/// Vertex count of the `(k,d)`-nearest input graph.
+const KNN_N: usize = 40;
+/// List width `k` and distance bound `d` of the `(k,d)`-nearest lists.
+const KNN_K: usize = 7;
+const KNN_D: Dist = 2;
 /// Node count for the engine program.
 const ENGINE_N: usize = 24;
 /// Vertex count for the served oracle.
@@ -98,6 +106,8 @@ struct Baseline {
     hop_graph: WeightedGraph,
     hop_sources: Vec<usize>,
     hop_rows: Vec<HopRows>,
+    knn_graph: Graph,
+    knn_lists: KNearest,
     engine_words: Vec<Vec<u64>>,
     engine_collected: Vec<Vec<u64>>,
     oracle: Arc<DistOracle>,
@@ -156,6 +166,28 @@ fn run_hop_limited(g: &WeightedGraph, sources: &[usize], threads: usize) -> Vec<
         );
     });
     out
+}
+
+/// Deterministic input of the `(k,d)`-nearest lists: a ring plus random
+/// chords, so lists are cut both by `k` and by `d`.
+fn knn_graph(seed: u64) -> Graph {
+    let mut rng = Xorshift::new(seed ^ 0x6b_4e4e);
+    let mut edges: Vec<(usize, usize)> = (0..KNN_N).map(|v| (v, (v + 1) % KNN_N)).collect();
+    edges.extend((0..KNN_N / 2).map(|_| (rng.below(KNN_N), rng.below(KNN_N))));
+    Graph::from_edges(KNN_N, &edges)
+}
+
+/// The truncated-BFS `(k,d)`-nearest lists on `threads` workers.
+fn run_knearest(g: &Graph, threads: usize) -> KNearest {
+    let mut ledger = RoundLedger::new(g.n());
+    KNearest::compute_with(
+        g,
+        KNN_K,
+        KNN_D,
+        Strategy::TruncatedBfs,
+        threads,
+        &mut ledger,
+    )
 }
 
 fn engine_words(seed: u64) -> Vec<Vec<u64>> {
@@ -223,6 +255,8 @@ fn baseline(seed: u64) -> Result<Baseline, String> {
     let dense_witness = dense_a.minplus_with_witness(&dense_b, &serial);
     let (hop_graph, hop_sources) = hop_inputs(seed);
     let hop_rows = run_hop_limited(&hop_graph, &hop_sources, 1);
+    let knn_graph = knn_graph(seed);
+    let knn_lists = run_knearest(&knn_graph, 1);
     let engine_words = engine_words(seed);
     let engine_collected = run_engine(&engine_words, 1)?;
     let (oracle, query_pairs, query_answers) = build_oracle(seed);
@@ -238,6 +272,8 @@ fn baseline(seed: u64) -> Result<Baseline, String> {
         hop_graph,
         hop_sources,
         hop_rows,
+        knn_graph,
+        knn_lists,
         engine_words,
         engine_collected,
         oracle,
@@ -434,6 +470,15 @@ pub fn run(cfg: &ScheduleConfig) -> ScheduleSummary {
             );
         }
 
+        let knn_threads = 1 + rng.below(max_threads);
+        if run_knearest(&base.knn_graph, knn_threads) != base.knn_lists {
+            fail(
+                &mut summary,
+                "knearest",
+                format!("threads={knn_threads}: (k,d)-nearest lists differ from serial"),
+            );
+        }
+
         let engine_threads = 1 + rng.below(max_threads);
         match run_engine(&base.engine_words, engine_threads) {
             Ok(collected) if collected == base.engine_collected => {}
@@ -448,7 +493,7 @@ pub fn run(cfg: &ScheduleConfig) -> ScheduleSummary {
                 format!("threads={engine_threads}: {e}"),
             ),
         }
-        summary.comparisons += 6;
+        summary.comparisons += 7;
 
         if iter % SERVE_EVERY == 0 {
             summary.serve_bursts += 1;
@@ -489,6 +534,10 @@ mod tests {
         assert_eq!(a.sparse_plain, b.sparse_plain);
         assert_eq!(a.dense_witness, b.dense_witness);
         assert_eq!(a.hop_rows, b.hop_rows);
+        assert_eq!(a.knn_lists, b.knn_lists);
+        // The k-nearest input cuts some lists by `k` and others by `d`.
+        let covers = |v| a.knn_lists.covers_ball(v);
+        assert!((0..KNN_N).any(covers) && !(0..KNN_N).all(covers));
         assert_eq!(a.engine_collected, b.engine_collected);
         assert_eq!(a.query_answers, b.query_answers);
     }

@@ -23,7 +23,7 @@
 use cc_clique::RoundLedger;
 use cc_emulator::clique::CliqueEmulatorConfig;
 use cc_emulator::EmulatorParams;
-use cc_graphs::{dadd, Dist, Graph, INF};
+use cc_graphs::{Dist, Graph, INF};
 use cc_matrix::{MinplusWorkspace, RowBuilder, SparseMatrix};
 use cc_routes::{PathStore, RecId};
 use cc_toolkit::hopset::BoundedHopset;
@@ -307,11 +307,7 @@ pub(crate) fn run_mode(
         let mut changed = Vec::new();
         for u in 0..n {
             if let Some((a, _)) = kn.nearest_in(u, &a_mask) {
-                let a = a as usize;
-                if let Some(p) = paths.as_mut() {
-                    offer_via_row(p, &delta, u, a);
-                }
-                delta.fold_via(u, a, &mut changed);
+                pipeline::route_via(&mut delta, paths.as_mut(), u, a as usize, &mut changed);
             }
         }
     }
@@ -368,10 +364,7 @@ pub(crate) fn run_mode(
             a_u.sort_unstable();
             a_u.dedup();
             for &w in &a_u {
-                if let Some(p) = paths.as_mut() {
-                    offer_via_row(p, &delta, u, w);
-                }
-                delta.fold_via(u, w, &mut changed);
+                pipeline::route_via(&mut delta, paths.as_mut(), u, w, &mut changed);
             }
         }
     }
@@ -515,21 +508,6 @@ fn detect_sources(
             if v != s && d < p.value(s, v) && sd.chain_into(i, v, &mut chain) {
                 p.offer_walk(g, d, &chain);
             }
-        }
-    }
-}
-
-/// The witness offers of one `fold_via(u, w)`: the midpoint `w` at
-/// `δ(u,w) + δ(w,v)` for every finite leg, in `v` order, read before the
-/// fold (the fold never writes row `w`).
-fn offer_via_row(p: &mut PathStore, delta: &DistanceMatrix, u: usize, w: usize) {
-    let via = delta.get(u, w);
-    if via >= INF {
-        return;
-    }
-    for (v, &leg) in delta.row(w).iter().enumerate() {
-        if v != u && leg < INF {
-            p.offer_via(u, v, dadd(via, leg), w);
         }
     }
 }

@@ -241,24 +241,10 @@ pub(crate) fn run_mode(
         for &a in &pivots {
             pivot_mask[a] = true;
         }
+        let mut changed = Vec::new();
         for u in 0..n {
             if let Some((a, _)) = kn.nearest_in(u, &pivot_mask) {
-                let a = a as usize;
-                let via = delta.get(u, a);
-                if via >= INF {
-                    continue;
-                }
-                for v in 0..n {
-                    if v != u {
-                        let leg = delta.get(a, v);
-                        if leg < INF {
-                            delta.improve_via(u, v, via, leg);
-                            if let Some(p) = paths.as_mut() {
-                                p.offer_via(u, v, cc_graphs::dadd(via, leg), a);
-                            }
-                        }
-                    }
-                }
+                pipeline::route_via(&mut delta, paths.as_mut(), u, a as usize, &mut changed);
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Crate-private plumbing shared by the application algorithms: one switch
 //! between the randomized and deterministic tool variants, the session-level
-//! substrate cache, emulator collection, and the short/long distance
-//! threshold.
+//! substrate cache, emulator collection, the via-pivot step, and the
+//! short/long distance threshold.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -10,7 +10,7 @@ use cc_clique::RoundLedger;
 use cc_derand::hitting;
 use cc_emulator::clique::CliqueEmulatorConfig;
 use cc_emulator::{deterministic, whp, Emulator};
-use cc_graphs::{dijkstra, Dist, Graph, INF};
+use cc_graphs::{dadd, dijkstra, Dist, Graph, INF};
 use cc_obs::StageTimes;
 use cc_routes::{PathStore, RecId, RowStore};
 use cc_toolkit::hopset::{self, BoundedHopset, HopsetParams};
@@ -394,6 +394,36 @@ fn emulator_tree_recs(
     recs
 }
 
+/// One via-pivot step of the short-range pipelines: routes `u` through
+/// `w`, `δ(u,v) ← min(δ(u,v), δ(u,w) + δ(w,v))` for every `v`
+/// ([`DistanceMatrix::fold_via`]), shadowed by `Via(w)` offers when
+/// recording: one offer per finite leg, at the value the scalar
+/// `improve_via`-then-`offer_via` loop offered. They read row `w` before
+/// the fold, which writes neither row `w` nor `δ(u,w)`. The store keeps
+/// the first of several equal offers for a pair, so callers keep their
+/// step order: it decides which witness is interned. `changed` is the
+/// fold's scratch.
+pub(crate) fn route_via(
+    delta: &mut DistanceMatrix,
+    paths: Option<&mut PathStore>,
+    u: usize,
+    w: usize,
+    changed: &mut Vec<u32>,
+) {
+    let via = delta.get(u, w);
+    if via >= INF {
+        return;
+    }
+    if let Some(p) = paths {
+        for (v, &leg) in delta.row(w).iter().enumerate() {
+            if v != u && leg < INF {
+                p.offer_via(u, v, dadd(via, leg), w);
+            }
+        }
+    }
+    delta.fold_via(u, w, changed);
+}
+
 /// The short/long threshold `t = ⌈2β̂/ε⌉` of §4 (β̂ = the emulator's
 /// effective additive bound), clamped to at least 4.
 pub(crate) fn default_threshold(cfg: &CliqueEmulatorConfig, eps: f64) -> Dist {
@@ -531,5 +561,78 @@ mod tests {
             .hitting_set_for("bad", 16, 1, &bad, &mut det, &mut ledger)
             .unwrap_err();
         assert!(matches!(err, CcError::Hitting(_)));
+    }
+
+    /// The scalar via-pivot loop `apsp3` ran before [`route_via`]: per `v`,
+    /// `improve_via` then `offer_via`.
+    fn scalar_via(delta: &mut DistanceMatrix, p: &mut PathStore, u: usize, a: usize) {
+        let via = delta.get(u, a);
+        if via >= INF {
+            return;
+        }
+        for v in 0..delta.n() {
+            if v != u {
+                let leg = delta.get(a, v);
+                if leg < INF {
+                    delta.improve_via(u, v, via, leg);
+                    p.offer_via(u, v, dadd(via, leg), a);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn route_via_matches_the_scalar_improve_then_offer_loop() {
+        for g in [generators::caveman(5, 6), generators::grid(6, 5)] {
+            let n = g.n();
+            let mut delta = DistanceMatrix::new(n);
+            let mut store = PathStore::new(n);
+            for (u, v) in g.edges() {
+                delta.improve(u, v, 1);
+                store.offer_edge(u, v);
+            }
+            // Pivots cover ∞ legs early on, `w = u`, and — as the table
+            // fills — many equal-valued offers for one pair, where the
+            // offer order decides the interned witness.
+            let pivots: Vec<usize> = (0..n).step_by(4).collect();
+            let (mut want, mut want_store) = (delta.clone(), store.clone());
+            let mut changed = Vec::new();
+            for round in 0..2 {
+                for u in 0..n {
+                    for &w in &pivots {
+                        scalar_via(&mut want, &mut want_store, u, w);
+                        route_via(&mut delta, Some(&mut store), u, w, &mut changed);
+                        assert_eq!(delta, want, "estimates: round {round} u={u} w={w}");
+                        assert_eq!(
+                            store.witnesses(),
+                            want_store.witnesses(),
+                            "witnesses: round {round} u={u} w={w}"
+                        );
+                        for v in 0..n {
+                            assert_eq!(store.value(u, v), want_store.value(u, v));
+                        }
+                    }
+                }
+            }
+            let vias = store
+                .witnesses()
+                .iter()
+                .filter(|w| matches!(w, cc_routes::PairWitness::Via(_)))
+                .count();
+            assert!(vias > 0, "the steps interned midpoint witnesses");
+            // Without a store the step folds the same estimates.
+            let mut plain = DistanceMatrix::new(n);
+            for (u, v) in g.edges() {
+                plain.improve(u, v, 1);
+            }
+            for _ in 0..2 {
+                for u in 0..n {
+                    for &w in &pivots {
+                        route_via(&mut plain, None, u, w, &mut changed);
+                    }
+                }
+            }
+            assert_eq!(plain, delta);
+        }
     }
 }

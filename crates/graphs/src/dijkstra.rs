@@ -13,6 +13,7 @@ use std::collections::BinaryHeap;
 
 use crate::dist::{dadd, Dist, INF};
 use crate::graph::WeightedGraph;
+use crate::shard::Shards;
 
 /// Single-source shortest path distances on a weighted graph (Dijkstra).
 pub fn sssp(g: &WeightedGraph, src: usize) -> Vec<Dist> {
@@ -337,10 +338,10 @@ impl<'a> HopRow<'a> {
 /// source.
 ///
 /// Sources are sharded into contiguous ranges over the lanes' worker
-/// count (the calling thread runs the first range). Every source is searched
-/// alone, in the same relaxation order, on a lane restored to the same
-/// state, so the rows — and hence `out` — are **bit-identical** at any
-/// thread count.
+/// count by [`Shards`] (the calling thread runs the first range). Every
+/// source is searched alone, in the same relaxation order, on a lane
+/// restored to the same state, so the rows — and hence `out` — are
+/// **bit-identical** at any thread count.
 ///
 /// Parent rows: every parent assignment strictly lowered the tentative
 /// distance, so distances strictly decrease along a parent chain (it
@@ -368,29 +369,18 @@ pub fn hop_limited<T, F>(
         sources.iter().all(|&s| s < n),
         "source out of range for n = {n}"
     );
-    let threads = lanes.threads.clamp(1, sources.len().max(1));
-    let shard = sources.len().div_ceil(threads).max(1);
-    let lanes = lanes.lanes(threads, n);
-    let run = |srcs: &[usize], outs: &mut [T], lane: &mut HopLane| {
-        for (&src, slot) in srcs.iter().zip(outs) {
-            lane.sweep(g, src, h);
-            emit(lane.row(n), slot);
-            lane.reset(n);
-        }
-    };
-    let mut parts = sources
-        .chunks(shard)
-        .zip(out.chunks_mut(shard))
-        .zip(lanes.iter_mut());
-    let Some(((first_srcs, first_outs), first_lane)) = parts.next() else {
-        return;
-    };
-    std::thread::scope(|scope| {
-        for ((srcs, outs), lane) in parts {
-            scope.spawn(move || run(srcs, outs, lane));
-        }
-        run(first_srcs, first_outs, first_lane);
-    });
+    let shards = Shards::new(sources.len(), lanes.threads);
+    let lanes = lanes.lanes(shards.count(), n);
+    shards.run(
+        out.chunks_mut(shards.size()).zip(lanes.iter_mut()),
+        |range, (outs, lane): (&mut [T], &mut HopLane)| {
+            for (&src, slot) in sources[range].iter().zip(outs) {
+                lane.sweep(g, src, h);
+                emit(lane.row(n), slot);
+                lane.reset(n);
+            }
+        },
+    );
 }
 
 /// Walks a hop-limited parent row back from `v`, writing the vertex

@@ -11,6 +11,9 @@
 //! * [`bfs`] / [`dijkstra`] — exact reference shortest-path algorithms used
 //!   as ground truth (BFS, truncated balls, `(k,d)`-nearest reference,
 //!   multi-source hop-limited Bellman–Ford, Dijkstra, exact APSP).
+//! * [`shard`] — the contiguous-shard, scoped-thread driver every sharded
+//!   kernel of the workspace runs on (the calling thread runs the first
+//!   shard; results come back in shard order).
 //! * [`stretch`] — utilities for comparing distance estimates against ground
 //!   truth (multiplicative/additive stretch reports, distance buckets).
 //!
@@ -41,6 +44,7 @@ pub mod generators;
 pub mod graph;
 pub mod io;
 pub mod pod;
+pub mod shard;
 pub mod stretch;
 
 pub use dist::{dadd, Dist, DistStorage, StorageKind, INF};

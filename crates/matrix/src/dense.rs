@@ -9,6 +9,7 @@
 use std::ops::Range;
 
 use cc_clique::RoundLedger;
+use cc_graphs::shard::Shards;
 use cc_graphs::{Dist, Graph, INF};
 
 use crate::workspace::MinplusWorkspace;
@@ -141,22 +142,7 @@ impl DenseMatrix {
     ///
     /// Panics if dimensions differ.
     pub fn minplus_with(&self, other: &DenseMatrix, ws: &MinplusWorkspace) -> DenseMatrix {
-        assert_eq!(self.n, other.n, "dimension mismatch");
-        let n = self.n;
-        let mut out = DenseMatrix::infinite(n);
-        let threads = ws.threads().clamp(1, n.max(1));
-        if threads <= 1 {
-            product_rows_blocked(self, other, 0..n, &mut out.data);
-            return out;
-        }
-        let shard = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (t, chunk) in out.data.chunks_mut(shard * n).enumerate() {
-                let rows = (t * shard).min(n)..((t + 1) * shard).min(n);
-                scope.spawn(move || product_rows_blocked(self, other, rows, chunk));
-            }
-        });
-        out
+        product(self, other, ws, None)
     }
 
     /// Witness-carrying min-plus product: `self · other` plus, for every
@@ -181,27 +167,8 @@ impl DenseMatrix {
         other: &DenseMatrix,
         ws: &MinplusWorkspace,
     ) -> (DenseMatrix, Vec<u32>) {
-        assert_eq!(self.n, other.n, "dimension mismatch");
-        let n = self.n;
-        let mut out = DenseMatrix::infinite(n);
-        let mut wit = vec![u32::MAX; n * n];
-        let threads = ws.threads().clamp(1, n.max(1));
-        if threads <= 1 {
-            product_rows_blocked_witness(self, other, 0..n, &mut out.data, &mut wit);
-            return (out, wit);
-        }
-        let shard = n.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (t, (chunk, wchunk)) in out
-                .data
-                .chunks_mut(shard * n)
-                .zip(wit.chunks_mut(shard * n))
-                .enumerate()
-            {
-                let rows = (t * shard).min(n)..((t + 1) * shard).min(n);
-                scope.spawn(move || product_rows_blocked_witness(self, other, rows, chunk, wchunk));
-            }
-        });
+        let mut wit = vec![u32::MAX; self.n * self.n];
+        let out = product(self, other, ws, Some(&mut wit));
         (out, wit)
     }
 
@@ -226,6 +193,32 @@ impl DenseMatrix {
     pub fn finite_entries(&self) -> usize {
         self.data.iter().filter(|&&d| d < INF).count()
     }
+}
+
+/// `a · b`, output rows sharded over `ws.threads()` workers, with the
+/// witness pass filling `wit` (`n²` entries, `u32::MAX`-initialized) when
+/// given. Each worker writes only its rows' chunks of the arenas.
+fn product(
+    a: &DenseMatrix,
+    b: &DenseMatrix,
+    ws: &MinplusWorkspace,
+    wit: Option<&mut [u32]>,
+) -> DenseMatrix {
+    assert_eq!(a.n, b.n, "dimension mismatch");
+    let n = a.n;
+    let mut out = DenseMatrix::infinite(n);
+    let shards = Shards::new(n, ws.threads());
+    // One shard's slice of an `n × n` arena (`max(1)`: `chunks_mut` needs a
+    // non-zero width even when `n = 0` leaves no shard to run).
+    let chunk = (shards.size() * n).max(1);
+    let outs = out.data.chunks_mut(chunk);
+    match wit {
+        None => shards.run(outs, |rows, o| product_rows_blocked(a, b, rows, o)),
+        Some(wit) => shards.run(outs.zip(wit.chunks_mut(chunk)), |rows, (o, w)| {
+            product_rows_blocked_witness(a, b, rows, o, w)
+        }),
+    };
+    out
 }
 
 /// Computes output rows `rows` of `a · b` into `out` (the rows' slice of the
@@ -261,14 +254,11 @@ fn product_rows_blocked(a: &DenseMatrix, b: &DenseMatrix, rows: Range<usize>, ou
     }
 }
 
-/// Witness-carrying twin of [`product_rows_blocked`]: same tiling and
-/// skip-∞ test, with the accumulator packing `(value << 32) | k` per cell so
-/// the inner loop stays a single branch-free `min` — smaller values win, and
-/// among equal values the smaller `k` wins automatically (the witness
-/// specification). Untouched cells unpack to `(∞, u32::MAX)`; candidates at
-/// value ∞ may claim a witness inside the packed cell, but the split below
-/// restores the `u32::MAX` sentinel for every non-finite value, so outputs
-/// match the plain kernel exactly.
+/// [`product_rows_blocked`] plus witness recovery into `wit` (the rows'
+/// slice of the witness arena): the values come from the plain kernel, so
+/// the output matrix is bit-identical to it, and a second pass assigns
+/// each finite cell its deterministic realizing `k` (trivial realizers
+/// first, then the smallest). ∞ cells keep the `u32::MAX` sentinel.
 fn product_rows_blocked_witness(
     a: &DenseMatrix,
     b: &DenseMatrix,

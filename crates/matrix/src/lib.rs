@@ -18,13 +18,20 @@
 //!   construction through [`sparse::RowBuilder`], and sparse products
 //!   (Thm 36 cost),
 //! * [`workspace::MinplusWorkspace`] — reusable kernel scratch plus the
-//!   worker-thread count; both kernels shard output rows across scoped
-//!   threads with bit-identical results at any thread count,
+//!   worker-thread count; both kernels shard output rows with
+//!   [`cc_graphs::shard::Shards`], with bit-identical results at any
+//!   thread count,
 //! * [`filtered`] — row filtering and the iterated filtered squaring of
 //!   Claim 59, the computational core of the `(k,d)`-nearest primitive,
 //! * [`legacy`] — verbatim ports of the pre-CSR kernels, kept purely as
 //!   cross-check baselines for the proptests and the `t15_minplus_kernels`
 //!   bench.
+//!
+//! Each kernel has one implementation with an optional witness lane:
+//! `minplus_with_witness` is the plain product that also returns, per
+//! finite output entry, a realizing intermediate `k` (the path product of
+//! Censor-Hillel & Paz). The output matrix is bit-identical to
+//! `minplus_with`.
 //!
 //! Round accounting is orthogonal to wall-clock execution: the `_charged`
 //! product variants charge the same Thm 36 / Thm 58 formulas regardless of

@@ -4,23 +4,15 @@
 use std::ops::Range;
 
 use cc_clique::RoundLedger;
+use cc_graphs::shard::Shards;
 use cc_graphs::{Dist, Graph, INF};
 
-use crate::workspace::{MinplusWorkspace, Scratch};
+use crate::workspace::{MinplusWorkspace, Scratch, PACKED_EMPTY};
 
 /// Kernel entries store column/witness ids as `u32`. Every index this
 /// narrows is bounded by a matrix dimension whose dense backing already
 /// fits in memory, so the conversion is total in practice; debug builds
 /// assert it instead of paying a branch on the hot path.
-/// Extracts the witness id from a packed `(dist << 32) | witness`
-/// accumulator word — a deliberate low-32-bit extraction, not an index
-/// narrowing.
-#[inline]
-fn packed_witness(packed: u64) -> u32 {
-    // cc-analyze: allow(narrowing-cast) — low-32 field extraction by construction.
-    packed as u32
-}
-
 #[inline]
 fn small_u32(x: usize) -> u32 {
     debug_assert!(u32::try_from(x).is_ok(), "index exceeds u32 wire width");
@@ -285,32 +277,7 @@ impl SparseMatrix {
     ///
     /// Panics if dimensions differ.
     pub fn minplus_with(&self, other: &SparseMatrix, ws: &mut MinplusWorkspace) -> SparseMatrix {
-        assert_eq!(self.n, other.n, "dimension mismatch");
-        let n = self.n;
-        let threads = ws.threads().clamp(1, n.max(1));
-        if threads <= 1 {
-            let lane = &mut ws.lanes(1, n)[0];
-            let part = product_rows(self, other, 0..n, lane);
-            return assemble(n, vec![part]);
-        }
-        let shard = n.div_ceil(threads);
-        let ranges: Vec<Range<usize>> = (0..threads)
-            .map(|t| (t * shard).min(n)..((t + 1) * shard).min(n))
-            .collect();
-        let lanes = ws.lanes(threads, n);
-        let parts: Vec<RowsPart> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .zip(lanes.iter_mut())
-                .map(|(range, lane)| scope.spawn(move || product_rows(self, other, range, lane)))
-                .collect();
-            handles
-                .into_iter()
-                // cc-analyze: allow(unwrap-expect) — a panicked worker must propagate, not vanish.
-                .map(|h| h.join().expect("min-plus worker panicked"))
-                .collect()
-        });
-        assemble(n, parts)
+        product::<Dist>(self, other, ws).0
     }
 
     /// Min-plus product with the Thm 36 round cost charged to `ledger`.
@@ -347,11 +314,12 @@ impl SparseMatrix {
     /// belongs to the output entry at arena index `e`, so the witnesses of
     /// output row `i` are `witness[out.row_range(i)]`.
     ///
-    /// The output matrix is **bit-identical** to
-    /// [`SparseMatrix::minplus_with`] (same values, same nnz), and — like
-    /// it — rows are sharded across `ws.threads()` workers with bit-identical
-    /// results (values *and* witnesses) at any thread count: each output
-    /// row's witness depends only on the inputs.
+    /// This is the kernel of [`SparseMatrix::minplus_with`] run with packed
+    /// `(value << 32) | k` accumulator cells, so the output matrix is
+    /// **bit-identical** to it (same values, same nnz), and rows are
+    /// sharded across `ws.threads()` workers with bit-identical results
+    /// (values *and* witnesses) at any thread count: each output row's
+    /// witness depends only on the inputs.
     ///
     /// # Panics
     ///
@@ -361,38 +329,7 @@ impl SparseMatrix {
         other: &SparseMatrix,
         ws: &mut MinplusWorkspace,
     ) -> (SparseMatrix, Vec<u32>) {
-        assert_eq!(self.n, other.n, "dimension mismatch");
-        let n = self.n;
-        let threads = ws.threads().clamp(1, n.max(1));
-        if threads <= 1 {
-            let lane = &mut ws.lanes(1, n)[0];
-            lane.ensure_witness(n);
-            let part = product_rows_witness(self, other, 0..n, lane);
-            return assemble_witness(n, vec![part]);
-        }
-        let shard = n.div_ceil(threads);
-        let ranges: Vec<Range<usize>> = (0..threads)
-            .map(|t| (t * shard).min(n)..((t + 1) * shard).min(n))
-            .collect();
-        let lanes = ws.lanes(threads, n);
-        for lane in lanes.iter_mut() {
-            lane.ensure_witness(n);
-        }
-        let parts: Vec<WitnessRowsPart> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .into_iter()
-                .zip(lanes.iter_mut())
-                .map(|(range, lane)| {
-                    scope.spawn(move || product_rows_witness(self, other, range, lane))
-                })
-                .collect();
-            handles
-                .into_iter()
-                // cc-analyze: allow(unwrap-expect) — a panicked worker must propagate, not vanish.
-                .map(|h| h.join().expect("min-plus witness worker panicked"))
-                .collect()
-        });
-        assemble_witness(n, parts)
+        product::<u64>(self, other, ws)
     }
 
     /// Transpose, by a two-pass counting sort over columns: `O(nnz + n)`,
@@ -465,9 +402,91 @@ impl SparseMatrix {
     }
 }
 
-/// One shard's product output: per-row entry counts plus its slice of the
-/// arena, stitched into a full CSR matrix by [`assemble`].
-type RowsPart = (Vec<usize>, Vec<(u32, Dist)>);
+/// An accumulator cell of the sparse kernel. The plain kernel
+/// accumulates bare values (`Dist`, empty at ∞); the witness kernel packs
+/// `(value << 32) | k` into a `u64` (empty at [`PACKED_EMPTY`]), so a
+/// single `min` keeps the smaller value and, among equal values, the
+/// smaller `k` — the smallest-realizing-witness specification. Both are
+/// monomorphised: the plain kernel carries no witness code.
+pub(crate) trait Cell: Copy + Ord + Send {
+    /// The untouched cell; every finite candidate beats it.
+    const EMPTY: Self;
+    /// Whether the kernel emits a witness arena.
+    const WITNESS: bool;
+    /// The candidate `a(i,k) + b(k,j)` through `k`.
+    fn cand(sum: Dist, k: u32) -> Self;
+    /// The cell's value.
+    fn value(self) -> Dist;
+    /// The cell's witness (only read when [`Cell::WITNESS`]).
+    fn witness(self) -> u32;
+    /// This cell type's accumulator in `lane`, and the touched list.
+    fn lane(lane: &mut Scratch) -> (&mut Vec<Self>, &mut Vec<u32>);
+}
+
+impl Cell for Dist {
+    const EMPTY: Dist = INF;
+    const WITNESS: bool = false;
+    #[inline]
+    fn cand(sum: Dist, _k: u32) -> Dist {
+        sum
+    }
+    #[inline]
+    fn value(self) -> Dist {
+        self
+    }
+    #[inline]
+    fn witness(self) -> u32 {
+        u32::MAX
+    }
+    fn lane(lane: &mut Scratch) -> (&mut Vec<Dist>, &mut Vec<u32>) {
+        (&mut lane.acc, &mut lane.touched)
+    }
+}
+
+impl Cell for u64 {
+    const EMPTY: u64 = PACKED_EMPTY;
+    const WITNESS: bool = true;
+    #[inline]
+    fn cand(sum: Dist, k: u32) -> u64 {
+        (u64::from(sum) << 32) | u64::from(k)
+    }
+    #[inline]
+    fn value(self) -> Dist {
+        (self >> 32) as Dist
+    }
+    #[inline]
+    fn witness(self) -> u32 {
+        // cc-analyze: allow(narrowing-cast) — low-32 field extraction by construction.
+        self as u32
+    }
+    fn lane(lane: &mut Scratch) -> (&mut Vec<u64>, &mut Vec<u32>) {
+        (&mut lane.pacc, &mut lane.touched)
+    }
+}
+
+/// One shard's product output: per-row entry counts, its slice of the
+/// entry arena and the parallel witness arena (empty for plain cells),
+/// stitched into a full CSR matrix by [`assemble`].
+type RowsPart = (Vec<usize>, Vec<(u32, Dist)>, Vec<u32>);
+
+/// `a · b` with `C` accumulator cells, output rows sharded over
+/// `ws.threads()` workers. Every output row depends only on the inputs, so
+/// the result — values and witnesses — is bit-identical at any thread
+/// count. The witness arena is empty for plain cells.
+fn product<C: Cell>(
+    a: &SparseMatrix,
+    b: &SparseMatrix,
+    ws: &mut MinplusWorkspace,
+) -> (SparseMatrix, Vec<u32>) {
+    assert_eq!(a.n, b.n, "dimension mismatch");
+    let n = a.n;
+    let shards = Shards::new(n, ws.threads());
+    let lanes = ws.lanes::<C>(shards.count(), n);
+    let parts = shards.run(lanes.iter_mut(), |rows, lane| {
+        product_rows::<C>(a, b, rows, lane)
+    });
+    assemble(n, parts)
+}
 
 /// Output rows denser than `n / SCAN_DIVISOR` are emitted by scanning the
 /// accumulator (sorted for free, no touched tracking in the inner loop);
@@ -475,8 +494,10 @@ type RowsPart = (Vec<usize>, Vec<(u32, Dist)>);
 const SCAN_DIVISOR: usize = 8;
 
 /// Computes output rows `rows` of `a · b`. Each row is independent, so any
-/// partition of the row space yields bit-identical results.
-fn product_rows(
+/// partition of the row space yields bit-identical results. Candidates
+/// with value ≥ ∞ never beat [`Cell::EMPTY`], so values and nnz do not
+/// depend on the cell type.
+fn product_rows<C: Cell>(
     a: &SparseMatrix,
     b: &SparseMatrix,
     rows: Range<usize>,
@@ -500,9 +521,10 @@ fn product_rows(
         .map(|&bound| if bound * SCAN_DIVISOR >= n { n } else { bound })
         .sum();
     let mut out: Vec<(u32, Dist)> = vec![(0, 0); cap];
-    let mut w = 0usize; // write cursor into `out`
-    let acc = &mut lane.acc[..n];
-    let touched = &mut lane.touched;
+    let mut wit: Vec<u32> = vec![0; if C::WITNESS { cap } else { 0 }];
+    let mut w = 0usize; // write cursor into `out` (and `wit`)
+    let (acc, touched) = C::lane(lane);
+    let acc = &mut acc[..n];
     for (i, &bound) in rows.zip(bounds.iter()) {
         let arow = a.row(i);
         let before = w;
@@ -514,25 +536,29 @@ fn product_rows(
             for &(k, av) in arow {
                 for &(j, bv) in b.row(k as usize) {
                     // Finite entries are < INF < 2³⁰, so the raw sum cannot
-                    // wrap u32; sums ≥ INF lose to the ∞ cell and vanish.
+                    // wrap u32; sums ≥ INF lose to the empty cell and vanish.
                     let cell = &mut acc[j as usize];
-                    *cell = (*cell).min(av + bv);
+                    *cell = (*cell).min(C::cand(av + bv, k));
                 }
             }
             for (j, cell) in acc.iter_mut().enumerate() {
-                let v = *cell;
-                *cell = INF;
+                let c = *cell;
+                *cell = C::EMPTY;
+                let v = c.value();
                 out[w] = (small_u32(j), v);
+                if C::WITNESS {
+                    wit[w] = c.witness();
+                }
                 w += usize::from(v < INF);
             }
         } else {
             // Sparse row: track first-touched columns, sort once at emit.
             for &(k, av) in arow {
                 for &(j, bv) in b.row(k as usize) {
-                    let cand = av + bv;
+                    let cand = C::cand(av + bv, k);
                     let cell = &mut acc[j as usize];
                     if cand < *cell {
-                        if *cell == INF {
+                        if *cell == C::EMPTY {
                             touched.push(j);
                         }
                         *cell = cand;
@@ -541,90 +567,12 @@ fn product_rows(
             }
             touched.sort_unstable();
             for &j in touched.iter() {
-                out[w] = (j, acc[j as usize]);
-                w += 1;
-                acc[j as usize] = INF;
-            }
-            touched.clear();
-        }
-        lens.push(w - before);
-    }
-    out.truncate(w);
-    (lens, out)
-}
-
-/// One shard's witness-product output: entry counts, entry arena and the
-/// parallel witness arena.
-type WitnessRowsPart = (Vec<usize>, Vec<(u32, Dist)>, Vec<u32>);
-
-/// Witness-carrying twin of [`product_rows`]: identical minima (so values
-/// and nnz are bit-identical), plus the smallest realizing `k` per finite
-/// output entry. The accumulator packs `(value << 32) | k` per cell, so the
-/// inner loop stays a single branch-free `min` — smaller values win, and
-/// among equal values the smaller `k` wins automatically (the witness
-/// specification). Candidates with value ≥ ∞ never beat
-/// [`crate::workspace::PACKED_EMPTY`], exactly mirroring the plain kernel.
-fn product_rows_witness(
-    a: &SparseMatrix,
-    b: &SparseMatrix,
-    rows: Range<usize>,
-    lane: &mut Scratch,
-) -> WitnessRowsPart {
-    use crate::workspace::PACKED_EMPTY;
-    let n = a.n;
-    let mut lens = Vec::with_capacity(rows.len());
-    let bounds: Vec<usize> = rows
-        .clone()
-        .map(|i| a.row(i).iter().map(|&(k, _)| b.row_nnz(k as usize)).sum())
-        .collect();
-    let cap: usize = bounds
-        .iter()
-        .map(|&bound| if bound * SCAN_DIVISOR >= n { n } else { bound })
-        .sum();
-    let mut out: Vec<(u32, Dist)> = vec![(0, 0); cap];
-    let mut wit: Vec<u32> = vec![0; cap];
-    let mut w = 0usize;
-    let pacc = &mut lane.pacc[..n];
-    let touched = &mut lane.touched;
-    for (i, &bound) in rows.zip(bounds.iter()) {
-        let arow = a.row(i);
-        let before = w;
-        if bound * SCAN_DIVISOR >= n {
-            for &(k, av) in arow {
-                let kbits = k as u64;
-                for &(j, bv) in b.row(k as usize) {
-                    let cell = &mut pacc[j as usize];
-                    *cell = (*cell).min((((av + bv) as u64) << 32) | kbits);
+                let c = acc[j as usize];
+                acc[j as usize] = C::EMPTY;
+                out[w] = (j, c.value());
+                if C::WITNESS {
+                    wit[w] = c.witness();
                 }
-            }
-            for j in 0..n {
-                let packed = pacc[j];
-                pacc[j] = PACKED_EMPTY;
-                let v = (packed >> 32) as Dist;
-                out[w] = (small_u32(j), v);
-                wit[w] = packed_witness(packed);
-                w += usize::from(v < INF);
-            }
-        } else {
-            for &(k, av) in arow {
-                let kbits = k as u64;
-                for &(j, bv) in b.row(k as usize) {
-                    let cand = (((av + bv) as u64) << 32) | kbits;
-                    let cell = &mut pacc[j as usize];
-                    if cand < *cell {
-                        if *cell == PACKED_EMPTY {
-                            touched.push(j);
-                        }
-                        *cell = cand;
-                    }
-                }
-            }
-            touched.sort_unstable();
-            for &j in touched.iter() {
-                let packed = pacc[j as usize];
-                pacc[j as usize] = PACKED_EMPTY;
-                out[w] = (j, (packed >> 32) as Dist);
-                wit[w] = packed_witness(packed);
                 w += 1;
             }
             touched.clear();
@@ -636,8 +584,10 @@ fn product_rows_witness(
     (lens, out, wit)
 }
 
-/// [`assemble`] twin that also stitches the witness arenas.
-fn assemble_witness(n: usize, parts: Vec<WitnessRowsPart>) -> (SparseMatrix, Vec<u32>) {
+/// Stitches per-shard products (in row order) into one CSR matrix and its
+/// witness arena. The serial (single-shard) case moves the arenas instead
+/// of copying them.
+fn assemble(n: usize, parts: Vec<RowsPart>) -> (SparseMatrix, Vec<u32>) {
     let mut offsets = Vec::with_capacity(n + 1);
     offsets.push(0);
     let mut cum = 0usize;
@@ -645,9 +595,8 @@ fn assemble_witness(n: usize, parts: Vec<WitnessRowsPart>) -> (SparseMatrix, Vec
     let mut witnesses: Vec<u32> = Vec::new();
     let single = parts.len() == 1;
     if !single {
-        let total = parts.iter().map(|(_, e, _)| e.len()).sum();
-        entries.reserve_exact(total);
-        witnesses.reserve_exact(total);
+        entries.reserve_exact(parts.iter().map(|(_, e, _)| e.len()).sum());
+        witnesses.reserve_exact(parts.iter().map(|(_, _, w)| w.len()).sum());
     }
     for (lens, mut part, mut wit) in parts {
         for len in lens {
@@ -671,36 +620,6 @@ fn assemble_witness(n: usize, parts: Vec<WitnessRowsPart>) -> (SparseMatrix, Vec
         },
         witnesses,
     )
-}
-
-/// Stitches per-shard products (in row order) into one CSR matrix. The
-/// serial (single-shard) case moves the arena instead of copying it.
-fn assemble(n: usize, parts: Vec<RowsPart>) -> SparseMatrix {
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0);
-    let mut cum = 0usize;
-    let mut entries: Vec<(u32, Dist)> = Vec::new();
-    let single = parts.len() == 1;
-    if !single {
-        entries.reserve_exact(parts.iter().map(|(_, e)| e.len()).sum());
-    }
-    for (lens, mut part) in parts {
-        for len in lens {
-            cum += len;
-            offsets.push(cum);
-        }
-        if single {
-            entries = part;
-        } else {
-            entries.append(&mut part);
-        }
-    }
-    debug_assert_eq!(offsets.len(), n + 1);
-    SparseMatrix {
-        n,
-        offsets,
-        entries,
-    }
 }
 
 #[cfg(test)]

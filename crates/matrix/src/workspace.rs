@@ -9,60 +9,53 @@
 
 use cc_graphs::{Dist, INF};
 
-/// Per-worker scratch of the sparse kernel: a dense accumulator row that is
-/// kept all-∞ between products, and the touched-column list of the sparse
-/// emit path. One lane is handed to each worker thread.
+use crate::sparse::Cell;
+
 /// The "untouched" value of the packed witness accumulator: value ∞, witness
 /// bits zero. A candidate `(value << 32) | k` beats it exactly when its value
 /// is finite — and among equal values the **smaller witness wins**, which is
-/// how the witness kernels keep the smallest realizing `k` with a single
+/// how the witness kernel keeps the smallest realizing `k` with a single
 /// branch-free `min`.
 pub(crate) const PACKED_EMPTY: u64 = (INF as u64) << 32;
 
+/// Per-worker scratch of the sparse kernel; one lane is handed to each
+/// worker thread. The kernel accumulates an output row into one of two
+/// dense accumulator rows, chosen by its cell type: `acc` holds bare
+/// values (plain products, kept all-∞ between products) and `pacc` holds
+/// `(value << 32) | witness` words (witness products, kept at
+/// [`PACKED_EMPTY`]). Only the lane a product uses is grown, and the
+/// kernel restores every cell it writes. `touched` is the first-touched
+/// column list of the sparse emit path, shared by both.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     pub(crate) acc: Vec<Dist>,
     pub(crate) touched: Vec<u32>,
-    /// Packed accumulator of the witness-carrying kernels:
-    /// `(value << 32) | witness` per column, kept at [`PACKED_EMPTY`]
-    /// between products (same restore discipline as `acc`).
     pub(crate) pacc: Vec<u64>,
 }
 
 impl Scratch {
-    /// Grows the accumulator to dimension `n`. The all-∞ invariant is
-    /// maintained by the kernels (they restore every cell they write), so
+    /// Grows the `C` accumulator to dimension `n`. The all-empty invariant
+    /// is maintained by the kernel (it restores every cell it writes), so
     /// growth only needs to initialize the new tail.
-    pub(crate) fn ensure(&mut self, n: usize) {
-        if self.acc.len() < n {
-            self.acc.resize(n, INF);
+    fn ensure<C: Cell>(&mut self, n: usize) {
+        let (acc, _) = C::lane(self);
+        if acc.len() < n {
+            acc.resize(n, C::EMPTY);
         }
         debug_assert!(
-            self.acc.iter().all(|&d| d == INF),
-            "workspace accumulator must be all-∞ between products"
-        );
-    }
-
-    /// Additionally grows the packed witness lane (only the witness kernels
-    /// pay for it).
-    pub(crate) fn ensure_witness(&mut self, n: usize) {
-        self.ensure(n);
-        if self.pacc.len() < n {
-            self.pacc.resize(n, PACKED_EMPTY);
-        }
-        debug_assert!(
-            self.pacc.iter().all(|&p| p == PACKED_EMPTY),
-            "packed accumulator must be empty between products"
+            acc.iter().all(|&c| c == C::EMPTY),
+            "workspace accumulator must be empty between products"
         );
     }
 }
 
 /// Reusable workspace for the min-plus kernels.
 ///
-/// Holds the scratch lanes of [`SparseMatrix::minplus_with`] and the worker
-/// thread count both kernels shard rows across. Each output row of a
-/// min-plus product depends only on the input matrices, so row sharding is
-/// **bit-identical** to serial execution at any thread count (the same
+/// Holds the scratch lanes of the sparse kernel
+/// ([`SparseMatrix::minplus_with`], with or without witnesses) and the
+/// worker thread count both kernels shard rows across. Each output row of
+/// a min-plus product depends only on the input matrices, so row sharding
+/// is **bit-identical** to serial execution at any thread count (the same
 /// determinism argument as the sharded clique engine, DESIGN.md §1.2).
 ///
 /// Construct once and pass to every product of a loop:
@@ -112,13 +105,14 @@ impl MinplusWorkspace {
         self.threads = threads.max(1);
     }
 
-    /// `count` scratch lanes, each grown to dimension `n`.
-    pub(crate) fn lanes(&mut self, count: usize, n: usize) -> &mut [Scratch] {
+    /// `count` scratch lanes, each with its `C` accumulator grown to
+    /// dimension `n`.
+    pub(crate) fn lanes<C: Cell>(&mut self, count: usize, n: usize) -> &mut [Scratch] {
         if self.lanes.len() < count {
             self.lanes.resize_with(count, Scratch::default);
         }
         for lane in &mut self.lanes[..count] {
-            lane.ensure(n);
+            lane.ensure::<C>(n);
         }
         &mut self.lanes[..count]
     }
@@ -147,12 +141,12 @@ mod tests {
     fn lanes_grow_and_are_reused() {
         let mut ws = MinplusWorkspace::with_threads(2);
         {
-            let lanes = ws.lanes(2, 8);
+            let lanes = ws.lanes::<Dist>(2, 8);
             assert_eq!(lanes.len(), 2);
             assert!(lanes.iter().all(|l| l.acc.len() == 8));
         }
         // Larger n grows in place; the all-∞ invariant holds for the tail.
-        let lanes = ws.lanes(2, 16);
+        let lanes = ws.lanes::<Dist>(2, 16);
         assert!(lanes.iter().all(|l| l.acc.len() == 16));
         assert!(lanes.iter().all(|l| l.acc.iter().all(|&d| d == INF)));
     }

@@ -7,6 +7,7 @@
 //! `O((k/n^{2/3} + log d)·log d)` rounds.
 
 use cc_clique::{cost::model, RoundLedger};
+use cc_graphs::shard::Shards;
 use cc_graphs::{bfs, Dist, Graph, INF};
 use cc_matrix::filtered::knearest_matrix_with;
 use cc_matrix::MinplusWorkspace;
@@ -79,32 +80,15 @@ impl KNearest {
         assert!(k > 0, "k must be positive");
         let n = g.n();
         ledger.charge("(k,d)-nearest", Self::rounds(n, k, d));
-        let threads = threads.clamp(1, n.max(1));
         let lists: Vec<Vec<(u32, Dist)>> = match strategy {
-            Strategy::TruncatedBfs if threads <= 1 => (0..n)
-                .map(|v| bfs::knearest_reference(g, v, k, d))
+            Strategy::TruncatedBfs => Shards::new(n, threads)
+                .run(std::iter::repeat(()), |vs, ()| {
+                    vs.map(|v| bfs::knearest_reference(g, v, k, d))
+                        .collect::<Vec<_>>()
+                })
+                .into_iter()
+                .flatten()
                 .collect(),
-            Strategy::TruncatedBfs => {
-                let shard = n.div_ceil(threads);
-                let chunks: Vec<Vec<Vec<(u32, Dist)>>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..threads)
-                        .map(|t| {
-                            let lo = (t * shard).min(n);
-                            let hi = ((t + 1) * shard).min(n);
-                            scope.spawn(move || {
-                                (lo..hi)
-                                    .map(|v| bfs::knearest_reference(g, v, k, d))
-                                    .collect()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("knearest worker panicked"))
-                        .collect()
-                });
-                chunks.into_iter().flatten().collect()
-            }
             Strategy::Filtered => {
                 // The per-product charges of the matrix path are replaced by
                 // the single Thm 10 aggregate above, so use a scratch ledger.

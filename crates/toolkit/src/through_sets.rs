@@ -7,6 +7,12 @@
 //! Round cost: `O(ρ^{2/3}/n^{1/3} + 1)` where `ρ` is the average set size —
 //! constant for `ρ = O(√n)`, which is how the APSP algorithms use it
 //! (`W_v = S` for a hitting set `S` of size `O(√n)`, or `W_v = N_{k,t}(v)`).
+//!
+//! [`distance_through_sets_with_witness`] also reports the realizing `w`
+//! per pair. It is the same computation with a witness lane switched on:
+//! both entry points run one accumulation body and charge the same
+//! rounds, since the witness id rides the message of the sum it
+//! annotates.
 
 use cc_clique::RoundLedger;
 use cc_graphs::{dadd, Dist, INF};
@@ -26,6 +32,49 @@ pub fn distance_through_sets<F>(
     sets: &[Vec<usize>],
     estimate: F,
     ledger: &mut RoundLedger,
+) -> Vec<Vec<Dist>>
+where
+    F: Fn(usize, usize) -> Dist,
+{
+    through_sets(n, sets, estimate, ledger, None)
+}
+
+/// [`distance_through_sets`] that additionally reports, per ordered pair,
+/// the **witness** `w` that realized the minimum (`u32::MAX` where no finite
+/// route exists, and on the diagonal). Distances are identical to the plain
+/// variant; the intermediate vertices are swept in ascending order with
+/// strict improvement, so the witness is the smallest realizing `w` —
+/// deterministic regardless of set order.
+///
+/// The round charge is unchanged: in the model the witness ids ride the same
+/// messages as the sums they annotate.
+///
+/// # Panics
+///
+/// Panics if a set contains an element `≥ n`.
+pub fn distance_through_sets_with_witness<F>(
+    n: usize,
+    sets: &[Vec<usize>],
+    estimate: F,
+    ledger: &mut RoundLedger,
+) -> (Vec<Vec<Dist>>, Vec<Vec<u32>>)
+where
+    F: Fn(usize, usize) -> Dist,
+{
+    let mut wit = vec![vec![u32::MAX; n]; n];
+    let out = through_sets(n, sets, estimate, ledger, Some(&mut wit));
+    (out, wit)
+}
+
+/// The one accumulation body of both entry points: sweeps the intermediate
+/// vertices `w` in ascending order, lowering `out[u][v]` on strict
+/// improvement, and records `w` in the witness lane when one is given.
+fn through_sets<F>(
+    n: usize,
+    sets: &[Vec<usize>],
+    estimate: F,
+    ledger: &mut RoundLedger,
+    mut wit: Option<&mut Vec<Vec<u32>>>,
 ) -> Vec<Vec<Dist>>
 where
     F: Fn(usize, usize) -> Dist,
@@ -54,74 +103,19 @@ where
         let list = &members[w];
         for &(u, du) in list {
             let row = &mut out[u as usize];
+            let mut wrow = wit.as_deref_mut().map(|wit| &mut wit[u as usize]);
             for &(v, dv) in list {
                 let cand = dadd(du, dv);
                 if cand < row[v as usize] {
                     row[v as usize] = cand;
+                    if let Some(wrow) = wrow.as_deref_mut() {
+                        wrow[v as usize] = w as u32;
+                    }
                 }
             }
         }
     }
     out
-}
-
-/// [`distance_through_sets`] that additionally reports, per ordered pair,
-/// the **witness** `w` that realized the minimum (`u32::MAX` where no finite
-/// route exists, and on the diagonal). Distances are identical to the plain
-/// variant; the intermediate vertices are swept in ascending order with
-/// strict improvement, so the witness is the smallest realizing `w` —
-/// deterministic regardless of set order.
-///
-/// The round charge is unchanged: in the model the witness ids ride the same
-/// messages as the sums they annotate.
-///
-/// # Panics
-///
-/// Panics if a set contains an element `≥ n`.
-pub fn distance_through_sets_with_witness<F>(
-    n: usize,
-    sets: &[Vec<usize>],
-    estimate: F,
-    ledger: &mut RoundLedger,
-) -> (Vec<Vec<Dist>>, Vec<Vec<u32>>)
-where
-    F: Fn(usize, usize) -> Dist,
-{
-    assert_eq!(sets.len(), n, "one set per vertex required");
-    let total: usize = sets.iter().map(Vec::len).sum();
-    let rho = (total as u64 / n.max(1) as u64).max(1);
-    ledger.charge_through_sets("distance through sets", rho);
-
-    let mut members: Vec<Vec<(u32, Dist)>> = vec![Vec::new(); n];
-    for (v, set) in sets.iter().enumerate() {
-        for &w in set {
-            assert!(w < n, "set element {w} out of range");
-            let d = estimate(v, w);
-            if d < INF {
-                members[w].push((v as u32, d));
-            }
-        }
-    }
-    let mut out = vec![vec![INF; n]; n];
-    let mut wit = vec![vec![u32::MAX; n]; n];
-    for v in 0..n {
-        out[v][v] = 0;
-    }
-    for w in 0..n {
-        let list = &members[w];
-        for &(u, du) in list {
-            let row = &mut out[u as usize];
-            let wrow = &mut wit[u as usize];
-            for &(v, dv) in list {
-                let cand = dadd(du, dv);
-                if cand < row[v as usize] {
-                    row[v as usize] = cand;
-                    wrow[v as usize] = w as u32;
-                }
-            }
-        }
-    }
-    (out, wit)
 }
 
 #[cfg(test)]
