@@ -19,6 +19,11 @@
 //!   near-zero baselines).
 //! * **Throughput** (`requests_per_sec`, `queries_per_sec`, `*ops_per_sec`,
 //!   higher is better): current ≥ 0.5× baseline.
+//! * **Row identity**: arrays are compared index by index
+//!   (`results.3.ops_per_sec`), so every string leaf present in both
+//!   documents (`results.3.kernel`) must be equal. A row added, removed or
+//!   reordered then fails by name instead of comparing one row's numbers
+//!   against another row's baseline.
 //!
 //! Fields present in only one document are reported but never fail the
 //! gate (so adding a metric to a bench does not break the first CI run
@@ -29,181 +34,7 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-/// A leaf value of the flattened JSON document.
-#[derive(Clone, Debug, PartialEq)]
-enum Leaf {
-    Num(f64),
-    Bool(bool),
-    Str(String),
-}
-
-/// Minimal recursive-descent JSON reader producing `dotted.path → leaf`
-/// (arrays indexed numerically: `results.3.wall_ms`). Only what the bench
-/// documents need; unknown escapes pass through verbatim.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(text: &'a str) -> Self {
-        Reader {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    // Pass escapes through structurally; bench keys never
-                    // contain them, values may.
-                    if let Some(&next) = self.bytes.get(self.pos + 1) {
-                        out.push(char::from(next));
-                        self.pos += 2;
-                    } else {
-                        return Err("dangling escape".into());
-                    }
-                }
-                Some(b) => {
-                    out.push(char::from(b));
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
-    fn value(&mut self, path: &str, out: &mut BTreeMap<String, Leaf>) -> Result<(), String> {
-        match self.peek() {
-            Some(b'{') => {
-                self.expect(b'{')?;
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    let key = self.string()?;
-                    self.expect(b':')?;
-                    let child = if path.is_empty() {
-                        key
-                    } else {
-                        format!("{path}.{key}")
-                    };
-                    self.value(&child, out)?;
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(());
-                        }
-                        other => return Err(format!("bad object separator {other:?}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.expect(b'[')?;
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                let mut i = 0usize;
-                loop {
-                    self.value(&format!("{path}.{i}"), out)?;
-                    i += 1;
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(());
-                        }
-                        other => return Err(format!("bad array separator {other:?}")),
-                    }
-                }
-            }
-            Some(b'"') => {
-                let s = self.string()?;
-                out.insert(path.to_string(), Leaf::Str(s));
-                Ok(())
-            }
-            Some(b't') | Some(b'f') => {
-                let word = if self.bytes[self.pos..].starts_with(b"true") {
-                    self.pos += 4;
-                    true
-                } else if self.bytes[self.pos..].starts_with(b"false") {
-                    self.pos += 5;
-                    false
-                } else {
-                    return Err(format!("bad literal at byte {}", self.pos));
-                };
-                out.insert(path.to_string(), Leaf::Bool(word));
-                Ok(())
-            }
-            Some(b'n') => {
-                if self.bytes[self.pos..].starts_with(b"null") {
-                    self.pos += 4;
-                    Ok(())
-                } else {
-                    Err(format!("bad literal at byte {}", self.pos))
-                }
-            }
-            Some(_) => {
-                let start = self.pos;
-                while self.bytes.get(self.pos).is_some_and(|&b| {
-                    b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')
-                }) {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "non-utf8 number".to_string())?;
-                let num: f64 = text
-                    .parse()
-                    .map_err(|_| format!("bad number {text:?} at byte {start}"))?;
-                out.insert(path.to_string(), Leaf::Num(num));
-                Ok(())
-            }
-            None => Err("unexpected end of document".into()),
-        }
-    }
-}
-
-fn flatten(text: &str) -> Result<BTreeMap<String, Leaf>, String> {
-    let mut out = BTreeMap::new();
-    let mut r = Reader::new(text);
-    r.value("", &mut out)?;
-    Ok(out)
-}
+use cc_bench::json::{flatten, Leaf};
 
 /// Correctness booleans that must never flip away from the baseline `true`.
 const PINNED_TRUE: &[&str] = &["bit_identical", "cross_checks_ok", "zero_copy_storage"];
@@ -234,6 +65,83 @@ const LAT_GRACE: f64 = 500.0;
 /// Throughput floor relative to baseline.
 const TPUT_FLOOR: f64 = 0.5;
 
+/// The gate's verdict on one baseline/current pair.
+struct Verdict {
+    checks: usize,
+    failures: usize,
+    /// One line per skipped or failed field, in key order.
+    report: Vec<String>,
+}
+
+impl Verdict {
+    fn fail(&mut self, line: String) {
+        self.failures += 1;
+        self.report.push(format!("  [FAIL] {line}"));
+    }
+}
+
+/// Checks every field of `base` that `cur` also has.
+fn compare(base: &BTreeMap<String, Leaf>, cur: &BTreeMap<String, Leaf>) -> Verdict {
+    let mut v = Verdict {
+        checks: 0,
+        failures: 0,
+        report: Vec::new(),
+    };
+    for (key, base_leaf) in base {
+        let Some(cur_leaf) = cur.get(key) else {
+            v.report
+                .push(format!("  [skip] {key}: absent in current run"));
+            continue;
+        };
+        if PINNED_TRUE.contains(&key.as_str()) {
+            v.checks += 1;
+            if *base_leaf == Leaf::Bool(true) && *cur_leaf != Leaf::Bool(true) {
+                v.fail(format!("{key}: baseline true, current {cur_leaf:?}"));
+            }
+            continue;
+        }
+        if key == "dropped_requests" {
+            v.checks += 1;
+            if let (Leaf::Num(b), Leaf::Num(c)) = (base_leaf, cur_leaf) {
+                if *b == 0.0 && *c != 0.0 {
+                    v.fail(format!("{key}: baseline 0, current {c}"));
+                }
+            }
+            continue;
+        }
+        if let (Leaf::Str(b), Leaf::Str(c)) = (base_leaf, cur_leaf) {
+            v.checks += 1;
+            if b != c {
+                v.fail(format!(
+                    "{key}: row identity: baseline {b:?}, current {c:?}"
+                ));
+            }
+            continue;
+        }
+        let (Leaf::Num(b), Leaf::Num(c)) = (base_leaf, cur_leaf) else {
+            continue;
+        };
+        if is_latency(key) {
+            v.checks += 1;
+            let limit = b * LAT_FACTOR + LAT_GRACE;
+            if *c > limit {
+                v.fail(format!(
+                    "{key}: {c} > {limit:.1} (baseline {b} x{LAT_FACTOR} + {LAT_GRACE})"
+                ));
+            }
+        } else if is_throughput(key) {
+            v.checks += 1;
+            let floor = b * TPUT_FLOOR;
+            if *c < floor {
+                v.fail(format!(
+                    "{key}: {c} < {floor:.1} (baseline {b} x{TPUT_FLOOR})"
+                ));
+            }
+        }
+    }
+    v
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let [baseline_path, current_path] = &args[..] else {
@@ -251,64 +159,20 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match (base.get("bench"), cur.get("bench")) {
-        (Some(b), Some(c)) if b == c => {}
+    let bench = match (base.get("bench"), cur.get("bench")) {
+        (Some(Leaf::Str(b)), Some(Leaf::Str(c))) if b == c => b.clone(),
         (b, c) => {
             eprintln!("cc-bench-diff: bench name mismatch: {b:?} vs {c:?}");
             return ExitCode::FAILURE;
         }
-    }
-
-    let mut failures = 0usize;
-    let mut checks = 0usize;
-    for (key, base_leaf) in &base {
-        let Some(cur_leaf) = cur.get(key) else {
-            eprintln!("  [skip] {key}: absent in current run");
-            continue;
-        };
-        if PINNED_TRUE.contains(&key.as_str()) {
-            checks += 1;
-            if *base_leaf == Leaf::Bool(true) && *cur_leaf != Leaf::Bool(true) {
-                eprintln!("  [FAIL] {key}: baseline true, current {cur_leaf:?}");
-                failures += 1;
-            }
-            continue;
-        }
-        if key == "dropped_requests" {
-            checks += 1;
-            if let (Leaf::Num(b), Leaf::Num(c)) = (base_leaf, cur_leaf) {
-                if *b == 0.0 && *c != 0.0 {
-                    eprintln!("  [FAIL] {key}: baseline 0, current {c}");
-                    failures += 1;
-                }
-            }
-            continue;
-        }
-        let (Leaf::Num(b), Leaf::Num(c)) = (base_leaf, cur_leaf) else {
-            continue;
-        };
-        if is_latency(key) {
-            checks += 1;
-            let limit = b * LAT_FACTOR + LAT_GRACE;
-            if *c > limit {
-                eprintln!(
-                    "  [FAIL] {key}: {c} > {limit:.1} (baseline {b} x{LAT_FACTOR} + {LAT_GRACE})"
-                );
-                failures += 1;
-            }
-        } else if is_throughput(key) {
-            checks += 1;
-            let floor = b * TPUT_FLOOR;
-            if *c < floor {
-                eprintln!("  [FAIL] {key}: {c} < {floor:.1} (baseline {b} x{TPUT_FLOOR})");
-                failures += 1;
-            }
-        }
-    }
-    let bench = match base.get("bench") {
-        Some(Leaf::Str(s)) => s.as_str(),
-        _ => "?",
     };
+    let verdict = compare(&base, &cur);
+    for line in &verdict.report {
+        eprintln!("{line}");
+    }
+    let Verdict {
+        checks, failures, ..
+    } = verdict;
     if failures == 0 {
         println!(
             "cc-bench-diff: {bench}: {checks} checks passed ({baseline_path} vs {current_path})"
@@ -324,14 +188,32 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    fn doc(rows: &[(&str, f64)]) -> BTreeMap<String, Leaf> {
+        let results: Vec<String> = rows
+            .iter()
+            .map(|(kernel, ops)| format!(r#"{{"kernel": "{kernel}", "ops_per_sec": {ops}}}"#))
+            .collect();
+        let text = format!(r#"{{"bench": "t", "results": [{}]}}"#, results.join(", "));
+        flatten(&text).unwrap()
+    }
+
     #[test]
-    fn flatten_walks_nested_objects_and_arrays() {
-        let doc = r#"{"bench": "x", "lat_us": {"p50": 1.5}, "results": [{"a": 1}, {"a": 2}], "ok": true}"#;
-        let m = flatten(doc).unwrap();
-        assert_eq!(m.get("bench"), Some(&Leaf::Str("x".into())));
-        assert_eq!(m.get("lat_us.p50"), Some(&Leaf::Num(1.5)));
-        assert_eq!(m.get("results.1.a"), Some(&Leaf::Num(2.0)));
-        assert_eq!(m.get("ok"), Some(&Leaf::Bool(true)));
+    fn rows_are_paired_by_identity() {
+        let base = doc(&[("dense-blocked", 50.0), ("sparse-csr", 100.0)]);
+        let same = compare(&base, &base);
+        assert_eq!((same.failures, same.checks), (0, 5));
+        // The first row removed: `results.0` is now another kernel whose
+        // throughput would pass against the removed row's baseline.
+        let shifted = compare(&base, &doc(&[("sparse-csr", 100.0)]));
+        assert_eq!(shifted.failures, 1);
+        assert!(
+            shifted
+                .report
+                .iter()
+                .any(|l| l.contains("results.0.kernel: row identity")),
+            "{:?}",
+            shifted.report
+        );
     }
 
     #[test]

@@ -27,7 +27,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use cc_bench::rng;
+use cc_bench::cli::Args;
+use cc_bench::json::{fixed, Json};
+use cc_bench::{on_threads, rng, thread_sweep, Table};
 use cc_core::{DistOracle, DistanceMatrix, Guarantee};
 use cc_graphs::{bfs, generators, DistStorage, StorageKind};
 use rand::Rng;
@@ -65,26 +67,15 @@ fn run_threads(
 ) -> (f64, (u64, u64)) {
     let chunk = pairs.len().div_ceil(threads);
     let start = Instant::now();
-    let partials: Vec<(u64, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk)
-            .map(|part| {
-                let oracle = Arc::clone(oracle);
-                scope.spawn(move || {
-                    let mut acc = (0u64, 0u64);
-                    for window in part.chunks(batch) {
-                        for answer in oracle.dist_batch(window) {
-                            acc = fold(acc, answer);
-                        }
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker"))
-            .collect()
+    let partials = on_threads(pairs.len().div_ceil(chunk), |t| {
+        let part = &pairs[t * chunk..((t + 1) * chunk).min(pairs.len())];
+        let mut acc = (0u64, 0u64);
+        for window in part.chunks(batch) {
+            for answer in oracle.dist_batch(window) {
+                acc = fold(acc, answer);
+            }
+        }
+        acc
     });
     let wall = start.elapsed().as_secs_f64();
     let checksum = partials
@@ -112,38 +103,14 @@ fn snapshot_roundtrip(oracle: &DistOracle) -> bool {
     back == *oracle && buf == again
 }
 
-struct Row {
-    layout: &'static str,
-    threads: usize,
-    batch: usize,
-    queries: usize,
-    wall_ms: f64,
-    qps: f64,
-}
-
 fn main() {
-    let mut max_threads = 8usize;
-    let mut queries = 2_000_000usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--threads" => {
-                max_threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads N");
-            }
-            "--queries" => {
-                queries = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--queries N");
-            }
-            "--quick" => queries = 400_000,
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
-    assert!(max_threads >= 1, "--threads must be at least 1");
+    let args = Args::parse(&["--quick"], &["--threads N", "--queries N"]);
+    let max_threads = args.threads(8);
+    let queries = args.value("--queries").unwrap_or(if args.flag("--quick") {
+        400_000
+    } else {
+        2_000_000
+    });
 
     // ── Freeze the workloads. ─────────────────────────────────────────────
     let g = generators::grid(SIDE, SIDE);
@@ -214,16 +181,10 @@ fn main() {
     assert!(roundtrip_ok, "snapshot round-trip must be bit-identical");
 
     // ── Sweep. ────────────────────────────────────────────────────────────
-    let mut thread_counts = vec![1usize];
-    while let Some(&last) = thread_counts.last() {
-        if last * 2 > max_threads {
-            break;
-        }
-        thread_counts.push(last * 2);
-    }
+    let thread_counts = thread_sweep(max_threads);
     let batches = [1usize, 16, 256];
     let max_batch = *batches.last().expect("non-empty");
-    let mut rows: Vec<Row> = Vec::new();
+    let mut results: Vec<Json> = Vec::new();
     let mut speedups: Vec<(&'static str, f64)> = Vec::new();
 
     for w in &workloads {
@@ -247,14 +208,15 @@ fn main() {
                         max_qps_batched = Some(qps);
                     }
                 }
-                rows.push(Row {
-                    layout: w.label,
-                    threads,
-                    batch,
-                    queries: w.pairs.len(),
-                    wall_ms: wall * 1e3,
-                    qps,
-                });
+                results.push(
+                    Json::obj()
+                        .field("layout", w.label)
+                        .field("threads", threads)
+                        .field("batch", batch)
+                        .field("queries", w.pairs.len())
+                        .field("wall_ms", fixed(wall * 1e3, 3))
+                        .field("qps", fixed(qps, 0)),
+                );
             }
         }
         if let (Some(single), Some(max)) = (single_qps_batched, max_qps_batched) {
@@ -299,16 +261,10 @@ fn main() {
     let bytes_sparse = sparse.storage_bytes();
     let ratio = bytes_sym as f64 / bytes_full as f64;
 
-    eprintln!(
-        "{:>10}  {:>7}  {:>5}  {:>9}  {:>9}  {:>12}",
-        "layout", "threads", "batch", "queries", "wall_ms", "qps"
+    eprint!(
+        "{}",
+        Table::from_results("t14_oracle_qps", &results).render()
     );
-    for row in &rows {
-        eprintln!(
-            "{:>10}  {:>7}  {:>5}  {:>9}  {:>9.2}  {:>12.0}",
-            row.layout, row.threads, row.batch, row.queries, row.wall_ms, row.qps
-        );
-    }
     eprintln!(
         "bytes: full={bytes_full} symmetric={bytes_sym} ({:.1}% of full) rowsparse={bytes_sparse}",
         ratio * 100.0
@@ -320,46 +276,27 @@ fn main() {
         eprintln!("{label}: dists_from = {rate:.0} rows/sec");
     }
 
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"t14_oracle_qps\",\n");
-    json.push_str(&format!("  \"n\": {n},\n"));
-    json.push_str(&format!("  \"max_threads\": {max_threads_swept},\n"));
-    json.push_str(&format!(
-        "  \"bytes\": {{\"full\": {bytes_full}, \"symmetric\": {bytes_sym}, \"rowsparse\": {bytes_sparse}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"symmetric_vs_full_bytes_ratio\": {ratio:.4},\n"
-    ));
-    json.push_str(&format!("  \"snapshot_roundtrip_ok\": {roundtrip_ok},\n"));
-    json.push_str(&format!(
-        "  \"speedup_batched_max_threads\": {{{}}},\n",
-        speedups
-            .iter()
-            .map(|(label, s)| format!("\"{label}\": {s:.3}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    json.push_str(&format!(
-        "  \"dists_from_rows_per_sec\": {{{}}},\n",
-        row_rates
-            .iter()
-            .map(|(label, rate)| format!("\"{label}\": {rate:.0}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    json.push_str("  \"results\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"layout\": \"{}\", \"threads\": {}, \"batch\": {}, \"queries\": {}, \"wall_ms\": {:.3}, \"qps\": {:.0}}}{}\n",
-            row.layout,
-            row.threads,
-            row.batch,
-            row.queries,
-            row.wall_ms,
-            row.qps,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}");
-    println!("{json}");
+    let bytes = Json::obj()
+        .field("full", bytes_full)
+        .field("symmetric", bytes_sym)
+        .field("rowsparse", bytes_sparse);
+    let speedups: Json = speedups
+        .iter()
+        .map(|&(label, s)| (label, fixed(s, 3)))
+        .collect();
+    let row_rates: Json = row_rates
+        .iter()
+        .map(|&(label, r)| (label, fixed(r, 0)))
+        .collect();
+    let doc = Json::obj()
+        .field("bench", "t14_oracle_qps")
+        .field("n", n)
+        .field("max_threads", max_threads_swept)
+        .field("bytes", bytes)
+        .field("symmetric_vs_full_bytes_ratio", fixed(ratio, 4))
+        .field("snapshot_roundtrip_ok", roundtrip_ok)
+        .field("speedup_batched_max_threads", speedups)
+        .field("dists_from_rows_per_sec", row_rates)
+        .field("results", results);
+    println!("{}", doc.render());
 }

@@ -1,5 +1,5 @@
-//! T15 — min-plus kernel throughput: CSR vs legacy sparse, blocked vs
-//! unblocked dense, serial vs row-sharded parallel.
+//! T15 — min-plus kernel throughput: the CSR sparse kernel and the
+//! cache-blocked dense kernel, serial vs row-sharded parallel.
 //!
 //! Sweeps `kernel × n × density × threads` over gnp adjacency matrices and
 //! their squares, measuring semiring operations per second (one operation =
@@ -8,23 +8,23 @@
 //! JSON document on stdout (human-readable table on stderr) with:
 //!
 //! * ops/sec per `(kernel, n, ρ, threads)` cell,
-//! * the CSR-vs-legacy single-thread speedup per sparse cell (the kernel
-//!   claim: ≥ 2× at `n = 1024`, ρ ≈ 32),
 //! * the parallel-vs-serial speedup per dense cell (**hardware-dependent**:
 //!   row shards are independent, so on a machine with ≥ 4 cores 4 threads
 //!   approach 4×; on a single-core container it stays near 1 — the
 //!   bit-identical cross-checks still validate the sharding either way),
-//! * cross-checks: every CSR product is compared entry-for-entry against
-//!   the legacy kernel's output, and every threaded product must be
-//!   **bit-identical** (values and nnz) to its serial run. Any divergence
-//!   fails the run.
+//! * cross-checks: the two kernels check each other. Every serial CSR
+//!   product is compared entry-for-entry (values and nnz) against the
+//!   blocked dense product of the same adjacency, every serial dense
+//!   product against the CSR product, and every threaded product must be
+//!   **bit-identical** to its serial run. Any divergence fails the run.
 //!
 //! Run with: `cargo run --release --bin t15_minplus_kernels -- [--threads T] [--reps R] [--quick]`
 
 #![forbid(unsafe_code)]
 
-use cc_bench::{best_secs, gnp_with_density};
-use cc_matrix::legacy::{dense_minplus_unblocked, LegacySparseMatrix};
+use cc_bench::cli::Args;
+use cc_bench::json::{fixed, Json};
+use cc_bench::{available_cores, best_secs, gnp_with_density, thread_sweep, Table};
 use cc_matrix::{DenseMatrix, MinplusWorkspace, SparseMatrix};
 
 /// Semiring operations of `a · b`: one per `(i, k, j)` with `(i,k)` finite
@@ -46,72 +46,56 @@ fn dense_ops(a: &DenseMatrix) -> u64 {
     a.finite_entries() as u64 * a.n() as u64
 }
 
-struct Row {
-    kernel: &'static str,
-    n: usize,
-    rho: u64,
-    threads: usize,
-    ops: u64,
-    wall_ms: f64,
-    ops_per_sec: f64,
+/// Asserts that a sparse and a dense product agree entry for entry,
+/// values and nnz.
+fn assert_same(sparse: &SparseMatrix, dense: &DenseMatrix, what: &str) {
+    let n = dense.n();
+    for i in 0..n {
+        for j in 0..n {
+            assert_eq!(
+                sparse.get(i, j),
+                dense.get(i, j),
+                "{what}: CSR and dense products diverged at ({i},{j})"
+            );
+        }
+    }
+    assert_eq!(sparse.nnz(), dense.finite_entries(), "{what}: nnz");
+}
+
+/// One result row: `kernel` on an `n`-vertex, density-`rho` input at
+/// `threads`, best of the reps in `secs`.
+fn row(kernel: &str, n: usize, rho: u64, threads: usize, ops: u64, secs: f64) -> Json {
+    Json::obj()
+        .field("kernel", kernel)
+        .field("n", n)
+        .field("rho", rho)
+        .field("threads", threads)
+        .field("ops", ops)
+        .field("wall_ms", fixed(secs * 1e3, 3))
+        .field("ops_per_sec", fixed(ops as f64 / secs, 0))
 }
 
 fn main() {
-    let mut max_threads = 4usize;
-    let mut reps = 5usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--threads" => {
-                max_threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads N");
-            }
-            "--reps" => {
-                reps = args.next().and_then(|v| v.parse().ok()).expect("--reps N");
-            }
-            "--quick" => reps = 2,
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
-    assert!(max_threads >= 1, "--threads must be at least 1");
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let args = Args::parse(&["--quick"], &["--threads N", "--reps N"]);
+    let max_threads = args.threads(4);
+    let reps = args
+        .value("--reps")
+        .unwrap_or(if args.flag("--quick") { 2 } else { 5 });
+    let cores = available_cores();
+    let thread_counts = thread_sweep(max_threads);
 
-    let mut thread_counts = vec![1usize];
-    while let Some(&last) = thread_counts.last() {
-        if last * 2 > max_threads {
-            break;
-        }
-        thread_counts.push(last * 2);
-    }
-
-    let mut rows: Vec<Row> = Vec::new();
-    let mut sparse_speedups: Vec<(usize, u64, f64)> = Vec::new(); // (n, rho, csr/legacy @ 1 thread)
+    let mut rows: Vec<Json> = Vec::new();
     let mut dense_speedups: Vec<(usize, f64)> = Vec::new(); // (n, max-threads/serial)
 
-    // ── Sparse: CSR vs legacy, per (n, ρ), threads sweep for CSR. ─────────
+    // ── Sparse: CSR per (n, ρ), threads sweep. ───────────────────────────
     for &n in &[256usize, 1024] {
         for &target_rho in &[8usize, 32] {
             let g = gnp_with_density(n, target_rho, (n + target_rho) as u64);
             let a = SparseMatrix::adjacency(&g);
             let rho = a.density();
-            let legacy = LegacySparseMatrix::from_csr(&a);
             let ops = sparse_ops(&a, &a);
 
-            let (legacy_secs, legacy_out) = best_secs(reps, || legacy.minplus(&legacy));
-            rows.push(Row {
-                kernel: "sparse-legacy",
-                n,
-                rho,
-                threads: 1,
-                ops,
-                wall_ms: legacy_secs * 1e3,
-                ops_per_sec: ops as f64 / legacy_secs,
-            });
-
             let mut serial_out = None;
-            let mut csr_serial_secs = 0.0;
             for &threads in &thread_counts {
                 let mut ws = MinplusWorkspace::with_threads(threads);
                 // Warm the workspace so steady-state (allocation-free)
@@ -119,13 +103,9 @@ fn main() {
                 let _ = a.minplus_with(&a, &mut ws);
                 let (secs, out) = best_secs(reps, || a.minplus_with(&a, &mut ws));
                 if threads == 1 {
-                    assert_eq!(
-                        LegacySparseMatrix::from_csr(&out),
-                        legacy_out,
-                        "CSR and legacy kernels diverged at n={n} rho={rho}"
-                    );
-                    csr_serial_secs = secs;
-                    serial_out = Some(out.clone());
+                    let d = DenseMatrix::adjacency(&g);
+                    assert_same(&out, &d.minplus(&d), &format!("n={n} rho={rho}"));
+                    serial_out = Some(out);
                 } else {
                     let serial = serial_out.as_ref().expect("serial ran first");
                     assert_eq!(
@@ -134,37 +114,17 @@ fn main() {
                     );
                     assert_eq!(out.nnz(), serial.nnz());
                 }
-                rows.push(Row {
-                    kernel: "sparse-csr",
-                    n,
-                    rho,
-                    threads,
-                    ops,
-                    wall_ms: secs * 1e3,
-                    ops_per_sec: ops as f64 / secs,
-                });
+                rows.push(row("sparse-csr", n, rho, threads, ops, secs));
             }
-            sparse_speedups.push((n, rho, legacy_secs / csr_serial_secs));
         }
     }
 
-    // ── Dense: blocked vs unblocked, threads sweep for the blocked kernel. ─
+    // ── Dense: the blocked kernel, threads sweep. ─────────────────────────
     for &n in &[256usize, 1024] {
         let g = gnp_with_density(n, 32, n as u64);
         let a = DenseMatrix::adjacency(&g);
         let rho = (a.finite_entries() as u64).div_ceil(n as u64);
         let ops = dense_ops(&a);
-
-        let (unblocked_secs, unblocked_out) = best_secs(reps, || dense_minplus_unblocked(&a, &a));
-        rows.push(Row {
-            kernel: "dense-legacy",
-            n,
-            rho,
-            threads: 1,
-            ops,
-            wall_ms: unblocked_secs * 1e3,
-            ops_per_sec: ops as f64 / unblocked_secs,
-        });
 
         let mut serial_out = None;
         let mut serial_secs = 0.0;
@@ -173,10 +133,8 @@ fn main() {
             let ws = MinplusWorkspace::with_threads(threads);
             let (secs, out) = best_secs(reps, || a.minplus_with(&a, &ws));
             if threads == 1 {
-                assert_eq!(
-                    out, unblocked_out,
-                    "blocked and unblocked dense kernels diverged at n={n}"
-                );
+                let s = SparseMatrix::adjacency(&g);
+                assert_same(&s.minplus(&s), &out, &format!("dense n={n}"));
                 serial_secs = secs;
                 serial_out = Some(out);
             } else {
@@ -189,74 +147,34 @@ fn main() {
             if threads == *thread_counts.last().expect("non-empty") {
                 max_threads_secs = secs;
             }
-            rows.push(Row {
-                kernel: "dense-blocked",
-                n,
-                rho,
-                threads,
-                ops,
-                wall_ms: secs * 1e3,
-                ops_per_sec: ops as f64 / secs,
-            });
+            rows.push(row("dense-blocked", n, rho, threads, ops, secs));
         }
         dense_speedups.push((n, serial_secs / max_threads_secs));
     }
 
     // ── Report. ───────────────────────────────────────────────────────────
     let max_threads_swept = *thread_counts.last().expect("non-empty");
-    eprintln!(
-        "{:>14}  {:>5}  {:>4}  {:>7}  {:>12}  {:>10}  {:>14}",
-        "kernel", "n", "rho", "threads", "ops", "wall_ms", "ops/sec"
+    eprint!(
+        "{}",
+        Table::from_results("t15_minplus_kernels", &rows).render()
     );
-    for row in &rows {
-        eprintln!(
-            "{:>14}  {:>5}  {:>4}  {:>7}  {:>12}  {:>10.2}  {:>14.0}",
-            row.kernel, row.n, row.rho, row.threads, row.ops, row.wall_ms, row.ops_per_sec
-        );
-    }
-    for &(n, rho, s) in &sparse_speedups {
-        eprintln!("sparse n={n} rho={rho}: CSR vs legacy (1 thread) = {s:.2}x");
-    }
     for &(n, s) in &dense_speedups {
         eprintln!("dense n={n}: {max_threads_swept} threads vs serial = {s:.2}x (cores available: {cores})");
     }
 
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"t15_minplus_kernels\",\n");
-    json.push_str(&format!("  \"max_threads\": {max_threads_swept},\n"));
-    json.push_str(&format!("  \"available_cores\": {cores},\n"));
-    json.push_str(&format!("  \"reps\": {reps},\n"));
-    json.push_str("  \"cross_checks_ok\": true,\n");
-    json.push_str(&format!(
-        "  \"sparse_csr_vs_legacy_speedup\": {{{}}},\n",
-        sparse_speedups
-            .iter()
-            .map(|(n, rho, s)| format!("\"n{n}_rho{rho}\": {s:.3}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    json.push_str(&format!(
-        "  \"dense_parallel_vs_serial_speedup\": {{{}}},\n",
-        dense_speedups
-            .iter()
-            .map(|(n, s)| format!("\"n{n}\": {s:.3}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    json.push_str("  \"results\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"n\": {}, \"rho\": {}, \"threads\": {}, \"ops\": {}, \"wall_ms\": {:.3}, \"ops_per_sec\": {:.0}}}{}\n",
-            row.kernel,
-            row.n,
-            row.rho,
-            row.threads,
-            row.ops,
-            row.wall_ms,
-            row.ops_per_sec,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}");
-    println!("{json}");
+    let doc = Json::obj()
+        .field("bench", "t15_minplus_kernels")
+        .field("max_threads", max_threads_swept)
+        .field("available_cores", cores)
+        .field("reps", reps)
+        .field("cross_checks_ok", true)
+        .field(
+            "dense_parallel_vs_serial_speedup",
+            dense_speedups
+                .iter()
+                .map(|(n, s)| (format!("n{n}"), fixed(*s, 3)))
+                .collect::<Json>(),
+        )
+        .field("results", rows);
+    println!("{}", doc.render());
 }

@@ -24,7 +24,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use cc_bench::{best_secs, gnp_with_density, rng};
+use cc_bench::cli::Args;
+use cc_bench::json::{fixed, Json};
+use cc_bench::{available_cores, best_secs, gnp_with_density, on_threads, rng, thread_sweep};
 use cc_core::{Execution, PathOracle, SolverBuilder};
 use cc_graphs::{dijkstra, generators, Dist, Graph, WeightedGraph};
 use cc_matrix::{DenseMatrix, MinplusWorkspace, SparseMatrix};
@@ -71,30 +73,11 @@ fn verify_routes(g: &Graph, oracle: &PathOracle, samples: usize, seed: u64) {
 }
 
 fn main() {
-    let mut max_threads = 4usize;
-    let mut reps = 5usize;
-    let mut quick = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--threads" => {
-                max_threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads N");
-            }
-            "--reps" => {
-                reps = args.next().and_then(|v| v.parse().ok()).expect("--reps N");
-            }
-            "--quick" => {
-                reps = 2;
-                quick = true;
-            }
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
-    assert!(max_threads >= 1, "--threads must be at least 1");
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let args = Args::parse(&["--quick"], &["--threads N", "--reps N"]);
+    let max_threads = args.threads(4);
+    let quick = args.flag("--quick");
+    let reps = args.value("--reps").unwrap_or(if quick { 2 } else { 5 });
+    let cores = available_cores();
     let kernel_n = 1024usize;
 
     // ── 1. Witness-kernel overhead (sparse + dense, n = 1024). ────────────
@@ -202,35 +185,17 @@ fn main() {
     let (batch_secs, _) = best_secs(reps, || oracle.path_batch(&queries));
     let batch_qps = point_queries as f64 / batch_secs;
 
-    let mut thread_counts = vec![1usize];
-    while let Some(&last) = thread_counts.last() {
-        if last * 2 > max_threads {
-            break;
-        }
-        thread_counts.push(last * 2);
-    }
     let mut thread_qps: Vec<(usize, f64)> = Vec::new();
-    for &threads in &thread_counts {
+    for threads in thread_sweep(max_threads) {
         let streams: Vec<Vec<(usize, usize)>> = (0..threads)
             .map(|t| make_queries(t as u64 + 1, point_queries / threads))
             .collect();
         let (secs, _) = best_secs(reps, || {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = streams
+            on_threads(threads, |t| {
+                streams[t]
                     .iter()
-                    .map(|qs| {
-                        let oracle = Arc::clone(&oracle);
-                        scope.spawn(move || {
-                            qs.iter()
-                                .filter_map(|&(u, v)| oracle.path(u, v))
-                                .map(|r| r.edges.len())
-                                .sum::<usize>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap())
+                    .filter_map(|&(u, v)| oracle.path(u, v))
+                    .map(|r| r.edges.len())
                     .sum::<usize>()
             })
         });
@@ -265,35 +230,37 @@ fn main() {
         eprintln!("  {t} threads: {qps:.0} qps (cores available: {cores})");
     }
 
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"t16_paths\",\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"available_cores\": {cores},\n"));
-    json.push_str(&format!("  \"reps\": {reps},\n"));
-    json.push_str("  \"cross_checks_ok\": true,\n");
-    json.push_str(&format!("  \"kernel_n\": {kernel_n},\n"));
-    json.push_str(&format!(
-        "  \"witness_overhead\": {{\"sparse\": {sparse_overhead:.3}, \"dense\": {dense_overhead:.3}}},\n"
-    ));
-    json.push_str(&format!("  \"oracle_n\": {n},\n"));
-    json.push_str(&format!(
-        "  \"solve_secs\": {{\"plain\": {solve_plain_secs:.4}, \"recording\": {solve_record_secs:.4}, \"freeze\": {freeze_secs:.4}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"witness_bytes\": {},\n",
-        oracle.witness_bytes()
-    ));
-    json.push_str(&format!("  \"snapshot_bytes\": {},\n", snap.len()));
-    json.push_str(&format!("  \"path_qps_point\": {point_qps:.0},\n"));
-    json.push_str(&format!("  \"path_qps_batch\": {batch_qps:.0},\n"));
-    json.push_str(&format!(
-        "  \"path_qps_by_threads\": {{{}}}\n",
-        thread_qps
-            .iter()
-            .map(|(t, q)| format!("\"t{t}\": {q:.0}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    json.push('}');
-    println!("{json}");
+    let doc = Json::obj()
+        .field("bench", "t16_paths")
+        .field("quick", quick)
+        .field("available_cores", cores)
+        .field("reps", reps)
+        .field("cross_checks_ok", true)
+        .field("kernel_n", kernel_n)
+        .field(
+            "witness_overhead",
+            Json::obj()
+                .field("sparse", fixed(sparse_overhead, 3))
+                .field("dense", fixed(dense_overhead, 3)),
+        )
+        .field("oracle_n", n)
+        .field(
+            "solve_secs",
+            Json::obj()
+                .field("plain", fixed(solve_plain_secs, 4))
+                .field("recording", fixed(solve_record_secs, 4))
+                .field("freeze", fixed(freeze_secs, 4)),
+        )
+        .field("witness_bytes", oracle.witness_bytes())
+        .field("snapshot_bytes", snap.len())
+        .field("path_qps_point", fixed(point_qps, 0))
+        .field("path_qps_batch", fixed(batch_qps, 0))
+        .field(
+            "path_qps_by_threads",
+            thread_qps
+                .iter()
+                .map(|&(t, q)| (format!("t{t}"), fixed(q, 0)))
+                .collect::<Json>(),
+        );
+    println!("{}", doc.render());
 }

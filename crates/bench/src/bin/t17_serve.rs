@@ -29,7 +29,11 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
 
-use cc_bench::{hist_json, pairs_for, percentile};
+use cc_bench::cli::Args;
+use cc_bench::json::{fixed, Json};
+use cc_bench::{
+    available_cores, hist_json, latency_json, on_threads, pairs_for, percentile, upairs,
+};
 use cc_core::{Execution, PathOracle, SolverBuilder};
 use cc_graphs::generators;
 use cc_obs::parse_exposition;
@@ -62,13 +66,9 @@ fn client_run(
                 .expect("no shedding in the sustained phase");
             dist_lat.push(start.elapsed().as_secs_f64() * 1e6);
             queries += pairs.len();
-            let upairs: Vec<(usize, usize)> = pairs
-                .iter()
-                .map(|&(u, v)| (u as usize, v as usize))
-                .collect();
             assert_eq!(
                 got,
-                reference.dist_oracle().dist_batch(&upairs),
+                reference.dist_oracle().dist_batch(&upairs(&pairs)),
                 "served dists diverged from the serial replay"
             );
         } else {
@@ -80,11 +80,7 @@ fn client_run(
                 .expect("no shedding in the sustained phase");
             path_lat.push(start.elapsed().as_secs_f64() * 1e6);
             queries += pairs.len();
-            let upairs: Vec<(usize, usize)> = pairs
-                .iter()
-                .map(|&(u, v)| (u as usize, v as usize))
-                .collect();
-            let want = reference.path_batch(&upairs);
+            let want = reference.path_batch(&upairs(&pairs));
             for (g, w) in got.iter().zip(want.iter()) {
                 match (g, w) {
                     (None, None) => {}
@@ -102,46 +98,27 @@ fn client_run(
 }
 
 fn main() {
-    let mut server_threads = 4usize;
-    let mut clients = 0usize; // 0 = derive from server_threads
-    let mut requests = 0usize; // 0 = derive from --quick
-    let mut quick = false;
-    let mut metrics_out: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--metrics-out" => {
-                metrics_out = Some(args.next().expect("--metrics-out FILE"));
-            }
-            "--threads" => {
-                server_threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads N");
-            }
-            "--clients" => {
-                clients = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--clients N");
-            }
-            "--requests" => {
-                requests = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--requests N");
-            }
-            "--quick" => quick = true,
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
-    assert!(server_threads >= 1, "--threads must be at least 1");
-    if clients == 0 {
-        clients = (server_threads * 2).max(4);
-    }
-    if requests == 0 {
-        requests = if quick { 120 } else { 400 };
-    }
+    let args = Args::parse(
+        &["--quick"],
+        &[
+            "--metrics-out FILE",
+            "--threads N",
+            "--clients N",
+            "--requests N",
+        ],
+    );
+    let server_threads = args.threads(4);
+    let quick = args.flag("--quick");
+    // An absent or zero count is derived from the other settings.
+    let clients = args
+        .value("--clients")
+        .filter(|&c| c > 0)
+        .unwrap_or((server_threads * 2).max(4));
+    let requests = args
+        .value("--requests")
+        .filter(|&r| r > 0)
+        .unwrap_or(if quick { 120 } else { 400 });
+    let metrics_out: Option<String> = args.value("--metrics-out");
     let side = if quick { 16 } else { 32 };
     let (dist_batch, path_batch) = (64usize, 16usize);
 
@@ -204,27 +181,16 @@ fn main() {
     let addr = handle.addr();
 
     let wall_start = Instant::now();
-    let outcomes: Vec<(Vec<f64>, Vec<f64>, usize)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let reference = Arc::clone(&reference);
-                scope.spawn(move || {
-                    client_run(
-                        addr,
-                        &reference,
-                        c as u64 + 1,
-                        n,
-                        requests,
-                        dist_batch,
-                        path_batch,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client"))
-            .collect()
+    let outcomes = on_threads(clients, |c| {
+        client_run(
+            addr,
+            &reference,
+            c as u64 + 1,
+            n,
+            requests,
+            dist_batch,
+            path_batch,
+        )
     });
     let wall = wall_start.elapsed().as_secs_f64();
     let stats = handle.stats();
@@ -268,8 +234,8 @@ fn main() {
         path_lat.extend(p);
         total_queries += q;
     }
-    dist_lat.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    path_lat.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    dist_lat.sort_by(f64::total_cmp);
+    path_lat.sort_by(f64::total_cmp);
     let total_requests = clients * requests;
     let rps = total_requests as f64 / wall;
     let qps = total_queries as f64 / wall;
@@ -292,61 +258,45 @@ fn main() {
     let flood_clients = clients * 2;
     let flood_requests = if quick { 24 } else { 48 };
     let heavy = pairs_for(99, n, 300);
-    let heavy_upairs: Vec<(usize, usize)> = heavy
-        .iter()
-        .map(|&(u, v)| (u as usize, v as usize))
-        .collect();
-    let want_heavy = reference.path_batch(&heavy_upairs);
+    let want_heavy = reference.path_batch(&upairs(&heavy));
 
-    let flood_counts: Vec<(usize, usize)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..flood_clients)
-            .map(|_| {
-                let heavy = heavy.clone();
-                let want_heavy = &want_heavy;
-                scope.spawn(move || {
-                    let stream = TcpStream::connect(addr2).expect("connect");
-                    stream.set_nodelay(true).expect("nodelay");
-                    for i in 0..flood_requests {
-                        let req = Request {
-                            req_id: i as u64,
-                            op: Op::Path,
-                            deadline_ms: 0,
-                            pairs: heavy.clone(),
-                        };
-                        write_frame(&mut &stream, &req.encode()).expect("write");
-                    }
-                    let (mut ok, mut shed) = (0usize, 0usize);
-                    for _ in 0..flood_requests {
-                        let body = read_frame(&mut &stream)
-                            .expect("read")
-                            .expect("every request gets exactly one answer");
-                        let resp = Response::decode(&body).expect("decodable response");
-                        match resp.status {
-                            Status::Ok => {
-                                ok += 1;
-                                let Payload::Paths(items) = resp.payload else {
-                                    panic!("wrong payload kind");
-                                };
-                                for (g, w) in items.iter().zip(want_heavy.iter()) {
-                                    assert_eq!(g.is_some(), w.is_some());
-                                    if let (Some((weight, _, edges)), Some(route)) = (g, w) {
-                                        assert_eq!(*weight, route.weight);
-                                        assert_eq!(*edges, route.edges);
-                                    }
-                                }
-                            }
-                            Status::Overloaded => shed += 1,
-                            other => panic!("unexpected status under overload: {other:?}"),
+    let flood_counts = on_threads(flood_clients, |_| {
+        let stream = TcpStream::connect(addr2).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        for i in 0..flood_requests {
+            let req = Request {
+                req_id: i as u64,
+                op: Op::Path,
+                deadline_ms: 0,
+                pairs: heavy.clone(),
+            };
+            write_frame(&mut &stream, &req.encode()).expect("write");
+        }
+        let (mut ok, mut shed) = (0usize, 0usize);
+        for _ in 0..flood_requests {
+            let body = read_frame(&mut &stream)
+                .expect("read")
+                .expect("every request gets exactly one answer");
+            let resp = Response::decode(&body).expect("decodable response");
+            match resp.status {
+                Status::Ok => {
+                    ok += 1;
+                    let Payload::Paths(items) = resp.payload else {
+                        panic!("wrong payload kind");
+                    };
+                    for (g, w) in items.iter().zip(want_heavy.iter()) {
+                        assert_eq!(g.is_some(), w.is_some());
+                        if let (Some((weight, _, edges)), Some(route)) = (g, w) {
+                            assert_eq!(*weight, route.weight);
+                            assert_eq!(*edges, route.edges);
                         }
                     }
-                    (ok, shed)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("flood client"))
-            .collect()
+                }
+                Status::Overloaded => shed += 1,
+                other => panic!("unexpected status under overload: {other:?}"),
+            }
+        }
+        (ok, shed)
     });
     let flood_ok: usize = flood_counts.iter().map(|&(ok, _)| ok).sum();
     let flood_shed: usize = flood_counts.iter().map(|&(_, s)| s).sum();
@@ -368,72 +318,48 @@ fn main() {
     eprintln!(
         "sustained: {clients} clients x {requests} requests in {wall:.2}s -> {rps:.0} req/s, {qps:.0} queries/s"
     );
-    eprintln!(
-        "dist latency us: p50={:.0} p95={:.0} p99={:.0}",
-        percentile(&dist_lat, 0.50),
-        percentile(&dist_lat, 0.95),
-        percentile(&dist_lat, 0.99)
-    );
-    eprintln!(
-        "path latency us: p50={:.0} p95={:.0} p99={:.0}",
-        percentile(&path_lat, 0.50),
-        percentile(&path_lat, 0.95),
-        percentile(&path_lat, 0.99)
-    );
+    for (op, lat) in [("dist", &dist_lat), ("path", &path_lat)] {
+        eprintln!(
+            "{op} latency us: p50={:.0} p95={:.0} p99={:.0}",
+            percentile(lat, 0.50),
+            percentile(lat, 0.95),
+            percentile(lat, 0.99)
+        );
+    }
     eprintln!(
         "overload: {flood_clients} clients flooding -> ok={flood_ok} shed={flood_shed} (explicit Overloaded)"
     );
 
-    let available_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"t17_serve\",\n");
-    json.push_str(&format!("  \"n\": {n},\n"));
-    json.push_str(&format!("  \"available_cores\": {available_cores},\n"));
-    json.push_str(&format!("  \"server_threads\": {server_threads},\n"));
-    json.push_str(&format!("  \"clients\": {clients},\n"));
-    json.push_str(&format!("  \"requests_per_client\": {requests},\n"));
-    json.push_str(&format!("  \"dist_batch\": {dist_batch},\n"));
-    json.push_str(&format!("  \"path_batch\": {path_batch},\n"));
-    json.push_str(&format!("  \"snapshot_bytes\": {snap_bytes},\n"));
-    json.push_str(&format!("  \"snapshot_mapped\": {mapped},\n"));
-    json.push_str(&format!("  \"zero_copy_storage\": {zero_copy},\n"));
-    json.push_str(&format!("  \"solve_secs\": {solve_secs:.3},\n"));
-    json.push_str(&format!("  \"wall_secs\": {wall:.3},\n"));
-    json.push_str(&format!("  \"requests_per_sec\": {rps:.0},\n"));
-    json.push_str(&format!("  \"queries_per_sec\": {qps:.0},\n"));
-    json.push_str(&format!(
-        "  \"dist_latency_us\": {{\"p50\": {:.1}, \"p95\": {:.1}, \"p99\": {:.1}}},\n",
-        percentile(&dist_lat, 0.50),
-        percentile(&dist_lat, 0.95),
-        percentile(&dist_lat, 0.99)
-    ));
-    json.push_str(&format!(
-        "  \"path_latency_us\": {{\"p50\": {:.1}, \"p95\": {:.1}, \"p99\": {:.1}}},\n",
-        percentile(&path_lat, 0.50),
-        percentile(&path_lat, 0.95),
-        percentile(&path_lat, 0.99)
-    ));
-    json.push_str(&format!(
-        "  \"queue_wait_ns\": {},\n",
-        hist_json(&queue_wait)
-    ));
-    json.push_str(&format!(
-        "  \"oracle_batch_ns\": {},\n",
-        hist_json(&oracle_batch)
-    ));
-    json.push_str(&format!(
-        "  \"outbox_write_ns\": {},\n",
-        hist_json(&outbox_write)
-    ));
-    json.push_str(&format!(
-        "  \"served_ok\": {},\n",
-        stats.served + stats2.served
-    ));
-    json.push_str(&format!(
-        "  \"overload\": {{\"clients\": {flood_clients}, \"requests\": {}, \"ok\": {flood_ok}, \"shed\": {flood_shed}}},\n",
-        flood_clients * flood_requests
-    ));
-    json.push_str("  \"bit_identical\": true\n");
-    json.push('}');
-    println!("{json}");
+    let doc = Json::obj()
+        .field("bench", "t17_serve")
+        .field("n", n)
+        .field("available_cores", available_cores())
+        .field("server_threads", server_threads)
+        .field("clients", clients)
+        .field("requests_per_client", requests)
+        .field("dist_batch", dist_batch)
+        .field("path_batch", path_batch)
+        .field("snapshot_bytes", snap_bytes)
+        .field("snapshot_mapped", mapped)
+        .field("zero_copy_storage", zero_copy)
+        .field("solve_secs", fixed(solve_secs, 3))
+        .field("wall_secs", fixed(wall, 3))
+        .field("requests_per_sec", fixed(rps, 0))
+        .field("queries_per_sec", fixed(qps, 0))
+        .field("dist_latency_us", latency_json(&dist_lat))
+        .field("path_latency_us", latency_json(&path_lat))
+        .field("queue_wait_ns", hist_json(&queue_wait))
+        .field("oracle_batch_ns", hist_json(&oracle_batch))
+        .field("outbox_write_ns", hist_json(&outbox_write))
+        .field("served_ok", stats.served + stats2.served)
+        .field(
+            "overload",
+            Json::obj()
+                .field("clients", flood_clients)
+                .field("requests", flood_clients * flood_requests)
+                .field("ok", flood_ok)
+                .field("shed", flood_shed),
+        )
+        .field("bit_identical", true);
+    println!("{}", doc.render());
 }

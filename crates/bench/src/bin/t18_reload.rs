@@ -30,7 +30,11 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cc_bench::{hist_json, pairs_for, percentile};
+use cc_bench::cli::Args;
+use cc_bench::json::{fixed, Json};
+use cc_bench::{
+    available_cores, hist_json, latency_json, on_threads, pairs_for, percentile, upairs,
+};
 use cc_core::{DistOracle, DistanceMatrix, Guarantee, PointEstimate};
 use cc_graphs::StorageKind;
 use cc_obs::parse_exposition;
@@ -59,10 +63,7 @@ fn matches_generation(
     pairs: &[(u32, u32)],
     refs: &[DistOracle],
 ) -> Option<usize> {
-    let upairs: Vec<(usize, usize)> = pairs
-        .iter()
-        .map(|&(u, v)| (u as usize, v as usize))
-        .collect();
+    let upairs = upairs(pairs);
     refs.iter().position(|r| r.dist_batch(&upairs) == *got)
 }
 
@@ -96,45 +97,22 @@ fn traffic_phase(
 
 #[allow(clippy::too_many_lines)]
 fn main() {
-    let mut server_threads = 4usize;
-    let mut clients = 0usize;
-    let mut requests = 0usize;
-    let mut seed = 0x11u64;
-    let mut quick = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--threads" => {
-                server_threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads N");
-            }
-            "--clients" => {
-                clients = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--clients N");
-            }
-            "--requests" => {
-                requests = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--requests N");
-            }
-            "--seed" => {
-                seed = args.next().and_then(|v| v.parse().ok()).expect("--seed S");
-            }
-            "--quick" => quick = true,
-            other => panic!("unknown argument {other:?}"),
-        }
-    }
-    if clients == 0 {
-        clients = (server_threads * 2).max(4);
-    }
-    if requests == 0 {
-        requests = if quick { 150 } else { 600 };
-    }
+    let args = Args::parse(
+        &["--quick"],
+        &["--threads N", "--clients N", "--requests N", "--seed S"],
+    );
+    let server_threads = args.threads(4);
+    let quick = args.flag("--quick");
+    let seed = args.value("--seed").unwrap_or(0x11u64);
+    // An absent or zero count is derived from the other settings.
+    let clients = args
+        .value("--clients")
+        .filter(|&c| c > 0)
+        .unwrap_or((server_threads * 2).max(4));
+    let requests = args
+        .value("--requests")
+        .filter(|&r| r > 0)
+        .unwrap_or(if quick { 150 } else { 600 });
     let n = if quick { 96 } else { 256 };
     let batch = 48usize;
 
@@ -162,19 +140,11 @@ fn main() {
 
     // ── Phase 1: baseline, no reloads. ────────────────────────────────────
     let refs_a = [scaled_oracle(n, 1)];
-    let mut base_lat: Vec<f64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let refs_a = &refs_a;
-                scope.spawn(move || traffic_phase(addr, refs_a, n, c as u64 + 1, requests, batch))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("baseline client"))
-            .collect()
-    });
-    base_lat.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    let mut base_lat: Vec<f64> = on_threads(clients, |c| {
+        traffic_phase(addr, &refs_a, n, c as u64 + 1, requests, batch)
+    })
+    .concat();
+    base_lat.sort_by(f64::total_cmp);
     let base_p50 = percentile(&base_lat, 0.50);
 
     // ── Phase 2: the same traffic under a reload storm. ───────────────────
@@ -203,21 +173,13 @@ fn main() {
                 confirmed
             })
         };
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let refs_ab = &refs_ab;
-                scope.spawn(move || {
-                    traffic_phase(addr, refs_ab, n, 1000 + c as u64, requests, batch)
-                })
-            })
-            .collect();
-        let lat = handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("storm client"))
-            .collect();
+        let lat = on_threads(clients, |c| {
+            traffic_phase(addr, &refs_ab, n, 1000 + c as u64, requests, batch)
+        })
+        .concat();
         (lat, reloader.join().expect("reloader"))
     });
-    storm_lat.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    storm_lat.sort_by(f64::total_cmp);
     let storm_p50 = percentile(&storm_lat, 0.50);
     assert!(confirmed_reloads >= 10, "need ≥10 confirmed hot reloads");
 
@@ -250,14 +212,10 @@ fn main() {
     probe.reload().expect("transport").expect("final reload");
     let final_gen = probe.version().expect("version").generation;
     let pairs = pairs_for(0xf17a1, n, 256);
-    let upairs: Vec<(usize, usize)> = pairs
-        .iter()
-        .map(|&(u, v)| (u as usize, v as usize))
-        .collect();
     let got = probe.dist_batch(&pairs, 0).expect("probe").expect("ok");
     assert_eq!(
         got,
-        gen_a.dist_batch(&upairs),
+        gen_a.dist_batch(&upairs(&pairs)),
         "post-swap answers must be bit-identical to a serial replay"
     );
 
@@ -286,63 +244,53 @@ fn main() {
     .expect("bind chaos server");
     let chaos_addr = chaos_handle.addr();
     let chaos_rounds = if quick { 60 } else { 120 };
-    let tallies: Vec<(u64, u64, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..4u64)
-            .map(|c| {
-                let plan = Arc::clone(&plan);
-                let refs = [scaled_oracle(n, 1)];
-                scope.spawn(move || {
-                    let policy = RetryPolicy {
-                        max_retries: 4,
-                        base_delay: Duration::from_millis(1),
-                        max_delay: Duration::from_millis(20),
-                        jitter_seed: c,
-                    };
-                    let (mut ok, mut contained, mut unknown) = (0u64, 0u64, 0u64);
-                    let mut client = Client::connect(chaos_addr).expect("connect");
-                    client.set_fault(Arc::clone(&plan));
-                    for round in 0..chaos_rounds {
-                        let pairs = pairs_for(c * 7919 + round, n, 16);
-                        match client.dist_batch_retry(&pairs, 0, &policy) {
-                            Ok(Ok(items)) => {
-                                assert!(
-                                    matches_generation(&items, &pairs, &refs).is_some(),
-                                    "chaos answer diverged (replay: --seed {})",
-                                    plan.seed()
-                                );
-                                ok += 1;
-                            }
-                            Ok(Err(
-                                Status::Internal
-                                | Status::Overloaded
-                                | Status::DeadlineExceeded
-                                | Status::ShuttingDown,
-                            )) => contained += 1,
-                            Ok(Err(status)) => {
-                                panic!("invalid chaos status {status:?} (--seed {})", plan.seed())
-                            }
-                            Err(ClientError::Protocol(msg)) => {
-                                panic!(
-                                    "protocol violation under chaos: {msg} (--seed {})",
-                                    plan.seed()
-                                )
-                            }
-                            Err(_transport) => {
-                                unknown += 1;
-                                let mut fresh = Client::connect(chaos_addr).expect("reconnect");
-                                fresh.set_fault(Arc::clone(&plan));
-                                client = fresh;
-                            }
-                        }
-                    }
-                    (ok, contained, unknown)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("chaos client"))
-            .collect()
+    let tallies: Vec<(u64, u64, u64)> = on_threads(4, |c| {
+        let c = c as u64;
+        let refs = [scaled_oracle(n, 1)];
+        let policy = RetryPolicy {
+            max_retries: 4,
+            base_delay: Duration::from_millis(1),
+            max_delay: Duration::from_millis(20),
+            jitter_seed: c,
+        };
+        let (mut ok, mut contained, mut unknown) = (0u64, 0u64, 0u64);
+        let mut client = Client::connect(chaos_addr).expect("connect");
+        client.set_fault(Arc::clone(&plan));
+        for round in 0..chaos_rounds {
+            let pairs = pairs_for(c * 7919 + round, n, 16);
+            match client.dist_batch_retry(&pairs, 0, &policy) {
+                Ok(Ok(items)) => {
+                    assert!(
+                        matches_generation(&items, &pairs, &refs).is_some(),
+                        "chaos answer diverged (replay: --seed {})",
+                        plan.seed()
+                    );
+                    ok += 1;
+                }
+                Ok(Err(
+                    Status::Internal
+                    | Status::Overloaded
+                    | Status::DeadlineExceeded
+                    | Status::ShuttingDown,
+                )) => contained += 1,
+                Ok(Err(status)) => {
+                    panic!("invalid chaos status {status:?} (--seed {})", plan.seed())
+                }
+                Err(ClientError::Protocol(msg)) => {
+                    panic!(
+                        "protocol violation under chaos: {msg} (--seed {})",
+                        plan.seed()
+                    )
+                }
+                Err(_transport) => {
+                    unknown += 1;
+                    let mut fresh = Client::connect(chaos_addr).expect("reconnect");
+                    fresh.set_fault(Arc::clone(&plan));
+                    client = fresh;
+                }
+            }
+        }
+        (ok, contained, unknown)
     });
     let chaos_ok: u64 = tallies.iter().map(|t| t.0).sum();
     let chaos_contained: u64 = tallies.iter().map(|t| t.1).sum();
@@ -383,48 +331,36 @@ fn main() {
         plan.fires(FaultSite::ConnReset)
     );
 
-    let available_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"t18_reload\",\n");
-    json.push_str(&format!("  \"n\": {n},\n"));
-    json.push_str(&format!("  \"available_cores\": {available_cores},\n"));
-    json.push_str(&format!("  \"server_threads\": {server_threads},\n"));
-    json.push_str(&format!("  \"clients\": {clients},\n"));
-    json.push_str(&format!("  \"requests_per_client\": {requests},\n"));
-    json.push_str(&format!("  \"dist_batch\": {batch},\n"));
-    json.push_str(&format!("  \"snapshot_bytes\": {snap_bytes},\n"));
-    json.push_str(&format!("  \"snapshot_mapped\": {mapped},\n"));
-    json.push_str(&format!("  \"reloads_confirmed\": {confirmed_reloads},\n"));
-    json.push_str(&format!("  \"final_generation\": {final_gen},\n"));
-    json.push_str(&format!(
-        "  \"baseline_latency_us\": {{\"p50\": {:.1}, \"p95\": {:.1}, \"p99\": {:.1}}},\n",
-        percentile(&base_lat, 0.50),
-        percentile(&base_lat, 0.95),
-        percentile(&base_lat, 0.99)
-    ));
-    json.push_str(&format!(
-        "  \"reload_storm_latency_us\": {{\"p50\": {:.1}, \"p95\": {:.1}, \"p99\": {:.1}}},\n",
-        percentile(&storm_lat, 0.50),
-        percentile(&storm_lat, 0.95),
-        percentile(&storm_lat, 0.99)
-    ));
-    json.push_str(&format!("  \"p50_ratio\": {p50_ratio:.3},\n"));
-    json.push_str(&format!(
-        "  \"queue_wait_ns\": {},\n",
-        hist_json(&queue_wait)
-    ));
-    json.push_str(&format!(
-        "  \"oracle_batch_ns\": {},\n",
-        hist_json(&oracle_batch)
-    ));
-    json.push_str("  \"dropped_requests\": 0,\n");
-    json.push_str(&format!(
-        "  \"chaos\": {{\"seed\": {seed}, \"ok\": {chaos_ok}, \"contained\": {chaos_contained}, \"unknown\": {chaos_unknown}, \"worker_panics\": {}, \"conn_resets\": {}, \"torn_writes\": {}}},\n",
-        plan.fires(FaultSite::WorkerPanic),
-        plan.fires(FaultSite::ConnReset),
-        plan.fires(FaultSite::PartialWrite) + plan.fires(FaultSite::ClientTornWrite)
-    ));
-    json.push_str("  \"bit_identical\": true\n");
-    json.push('}');
-    println!("{json}");
+    let chaos = Json::obj()
+        .field("seed", seed)
+        .field("ok", chaos_ok)
+        .field("contained", chaos_contained)
+        .field("unknown", chaos_unknown)
+        .field("worker_panics", plan.fires(FaultSite::WorkerPanic))
+        .field("conn_resets", plan.fires(FaultSite::ConnReset))
+        .field(
+            "torn_writes",
+            plan.fires(FaultSite::PartialWrite) + plan.fires(FaultSite::ClientTornWrite),
+        );
+    let doc = Json::obj()
+        .field("bench", "t18_reload")
+        .field("n", n)
+        .field("available_cores", available_cores())
+        .field("server_threads", server_threads)
+        .field("clients", clients)
+        .field("requests_per_client", requests)
+        .field("dist_batch", batch)
+        .field("snapshot_bytes", snap_bytes)
+        .field("snapshot_mapped", mapped)
+        .field("reloads_confirmed", confirmed_reloads)
+        .field("final_generation", final_gen)
+        .field("baseline_latency_us", latency_json(&base_lat))
+        .field("reload_storm_latency_us", latency_json(&storm_lat))
+        .field("p50_ratio", fixed(p50_ratio, 3))
+        .field("queue_wait_ns", hist_json(&queue_wait))
+        .field("oracle_batch_ns", hist_json(&oracle_batch))
+        .field("dropped_requests", 0u64)
+        .field("chaos", chaos)
+        .field("bit_identical", true);
+    println!("{}", doc.render());
 }

@@ -3,8 +3,10 @@
 //! Each theorem-level claim of the paper maps to one experiment binary in
 //! `src/bin/` (see `DESIGN.md` §5 for the index and `EXPERIMENTS.md` for
 //! recorded results). This library provides the shared scaffolding: aligned
-//! text tables, seeded RNGs, the standard graph suite, and the timing,
-//! query-stream and JSON helpers the `t15`–`t18` benches share.
+//! text tables, seeded RNGs, the standard graph suite, and the harness the
+//! `t13`–`t18` benches share: their flags ([`cli`]), thread ladder
+//! ([`thread_sweep`]), worker threads ([`on_threads`]), timing, query
+//! streams and JSON documents ([`json`]).
 
 #![forbid(unsafe_code)]
 // Index-based loops are the clearest idiom for the dense adjacency/matrix
@@ -12,10 +14,14 @@
 #![allow(clippy::needless_range_loop)]
 #![warn(missing_docs)]
 
+pub mod cli;
+pub mod json;
+
 use std::time::Instant;
 
 use cc_graphs::{generators, Graph};
 use cc_obs::HistSummary;
+use json::{fixed, Json};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -35,6 +41,27 @@ impl Table {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
         }
+    }
+
+    /// A bench document's results array (objects with the same keys) as a
+    /// table, one column per key of the first row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row is not an object.
+    pub fn from_results(title: impl Into<String>, rows: &[Json]) -> Self {
+        let headers: Vec<&str> = match rows.first() {
+            Some(Json::Obj(fields)) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            _ => Vec::new(),
+        };
+        let mut table = Table::new(title, &headers);
+        for row in rows {
+            let Json::Obj(fields) = row else {
+                panic!("results rows are objects");
+            };
+            table.row(fields.iter().map(|(_, v)| v.cell()).collect());
+        }
+        table
     }
 
     /// Appends a row (stringified cells).
@@ -143,13 +170,66 @@ pub fn pairs_for(seed: u64, n: usize, count: usize) -> Vec<(u32, u32)> {
         .collect()
 }
 
-/// Renders a histogram summary as an all-integer JSON object (quantiles are
-/// exact power-of-two bucket uppers, capped at the observed max).
-pub fn hist_json(h: &HistSummary) -> String {
-    format!(
-        "{{\"count\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}",
-        h.count, h.p50, h.p90, h.p99, h.max
-    )
+/// Converts `(u, v)` query pairs to the index form the oracles take.
+pub fn upairs(pairs: &[(u32, u32)]) -> Vec<(usize, usize)> {
+    pairs
+        .iter()
+        .map(|&(u, v)| (u as usize, v as usize))
+        .collect()
+}
+
+/// A histogram summary as an all-integer JSON object (quantiles are exact
+/// power-of-two bucket uppers, capped at the observed max).
+pub fn hist_json(h: &HistSummary) -> Json {
+    Json::obj()
+        .field("count", h.count)
+        .field("p50", h.p50)
+        .field("p90", h.p90)
+        .field("p99", h.p99)
+        .field("max", h.max)
+}
+
+/// The p50/p95/p99 of an ascending-sorted latency sample as a JSON object
+/// (one decimal).
+pub fn latency_json(sorted: &[f64]) -> Json {
+    [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)]
+        .into_iter()
+        .map(|(key, p)| (key, fixed(percentile(sorted, p), 1)))
+        .collect()
+}
+
+/// The thread ladder 1, 2, 4, … up to `max`.
+pub fn thread_sweep(max: usize) -> Vec<usize> {
+    std::iter::successors(Some(1usize), |&t| Some(t * 2).filter(|&next| next <= max)).collect()
+}
+
+/// Cores this process may run on; recorded next to every thread-dependent
+/// result.
+pub fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+}
+
+/// Runs `work(0)`, …, `work(count - 1)` on `count` scoped threads at once
+/// and returns their results in that order.
+///
+/// # Panics
+///
+/// Resumes the first worker panic, in worker order, after every worker
+/// has stopped.
+pub fn on_threads<T: Send>(count: usize, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..count)
+            .map(|i| {
+                let work = &work;
+                scope.spawn(move || work(i))
+            })
+            .collect();
+        let results: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        results
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
+    })
 }
 
 /// Standard `n` sweep for scaling experiments.
@@ -182,10 +262,38 @@ mod tests {
     }
 
     #[test]
+    fn results_render_as_a_table() {
+        let rows = [
+            Json::obj()
+                .field("kernel", "csr")
+                .field("ms", fixed(1.5, 2)),
+            Json::obj()
+                .field("kernel", "dense")
+                .field("ms", fixed(12.0, 2)),
+        ];
+        let r = Table::from_results("demo", &rows).render();
+        assert!(r.contains("kernel     ms\n"), "{r}");
+        assert!(r.contains("\n dense  12.00\n"), "{r}");
+    }
+
+    #[test]
     #[should_panic(expected = "column count mismatch")]
     fn wrong_arity_panics() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.row(vec!["1".into()]);
+    }
+
+    #[test]
+    fn thread_sweep_doubles_up_to_max() {
+        assert_eq!(thread_sweep(1), vec![1]);
+        assert_eq!(thread_sweep(4), vec![1, 2, 4]);
+        assert_eq!(thread_sweep(6), vec![1, 2, 4]);
+    }
+
+    #[test]
+    fn on_threads_returns_results_in_worker_order() {
+        assert_eq!(on_threads(4, |i| i * 10), vec![0, 10, 20, 30]);
+        assert!(on_threads(0, |i| i).is_empty());
     }
 
     #[test]

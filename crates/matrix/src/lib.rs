@@ -22,10 +22,11 @@
 //!   [`cc_graphs::shard::Shards`], with bit-identical results at any
 //!   thread count,
 //! * [`filtered`] — row filtering and the iterated filtered squaring of
-//!   Claim 59, the computational core of the `(k,d)`-nearest primitive,
-//! * [`legacy`] — verbatim ports of the pre-CSR kernels, kept purely as
-//!   cross-check baselines for the proptests and the `t15_minplus_kernels`
-//!   bench.
+//!   Claim 59, the computational core of the `(k,d)`-nearest primitive.
+//!
+//! The pre-CSR kernels this crate replaced are not part of its API: they
+//! live on as test-only reference ports that the cross-kernel proptests
+//! of `tests/minplus_props.rs` compare against.
 //!
 //! Each kernel has one implementation with an optional witness lane:
 //! `minplus_with_witness` is the plain product that also returns, per
@@ -57,7 +58,6 @@
 
 pub mod dense;
 pub mod filtered;
-pub mod legacy;
 pub mod sparse;
 pub mod workspace;
 

@@ -1,17 +1,15 @@
-//! Faithful copies of the pre-CSR kernels, kept as cross-check baselines.
+//! Reference ports of the pre-CSR min-plus kernels, kept as test code.
 //!
-//! The `t15_minplus_kernels` bench and the cross-kernel proptests compare
-//! the CSR kernels against these verbatim ports of the original
-//! Vec-of-Vec layout: `O(row)`-insert [`LegacySparseMatrix::set_min`],
-//! per-call scratch allocation in [`LegacySparseMatrix::minplus`], and the
-//! unblocked dense triple loop of [`dense_minplus_unblocked`]. **No
-//! pipeline uses this module** — it exists so the fast kernels stay pinned,
+//! The cross-kernel proptests compare the CSR kernels against these
+//! ports of the original Vec-of-Vec layout: `O(row)`-insert
+//! [`LegacySparseMatrix::set_min`], per-call scratch allocation in
+//! [`LegacySparseMatrix::minplus`], and the unblocked dense triple loop of
+//! [`dense_minplus_unblocked`]. They read the library's matrices only
+//! through its public accessors, so the fast kernels stay pinned,
 //! entry-for-entry, to the slow ones they replaced.
 
 use cc_graphs::{dadd, Dist, Graph, INF};
-
-use crate::dense::DenseMatrix;
-use crate::sparse::SparseMatrix;
+use cc_matrix::{DenseMatrix, RowBuilder, SparseMatrix};
 
 /// The original row-sparse layout: one `Vec<(column, value)>` per row.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -43,11 +41,6 @@ impl LegacySparseMatrix {
         m
     }
 
-    /// Matrix dimension.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Entry `(i, j)` (∞ if absent).
     pub fn get(&self, i: usize, j: usize) -> Dist {
         match self.rows[i].binary_search_by_key(&(j as u32), |&(c, _)| c) {
@@ -69,11 +62,6 @@ impl LegacySparseMatrix {
             }
             Err(pos) => self.rows[i].insert(pos, (j as u32, v)),
         }
-    }
-
-    /// Total finite entries.
-    pub fn nnz(&self) -> usize {
-        self.rows.iter().map(Vec::len).sum()
     }
 
     /// The original min-plus kernel: per-call scratch allocation, touched
@@ -115,11 +103,14 @@ impl LegacySparseMatrix {
 
     /// Converts to the CSR layout (for entry-for-entry cross-checks).
     pub fn to_csr(&self) -> SparseMatrix {
-        let mut out = SparseMatrix::with_row_capacity(self.n, self.nnz());
-        for row in &self.rows {
-            out.push_sorted_row(row);
+        let nnz = self.rows.iter().map(Vec::len).sum();
+        let mut out = RowBuilder::with_capacity(self.n, nnz);
+        for (i, row) in self.rows.iter().enumerate() {
+            for &(j, v) in row {
+                out.push(i, j as usize, v);
+            }
         }
-        out
+        out.build()
     }
 
     /// Builds the legacy layout from a CSR matrix.
@@ -132,35 +123,36 @@ impl LegacySparseMatrix {
 }
 
 /// The original dense kernel: unblocked `i`/`k` loops, so each output row
-/// streams the whole of `other` through cache.
+/// streams the whole of `b` through cache.
 ///
 /// # Panics
 ///
 /// Panics if dimensions differ.
 pub fn dense_minplus_unblocked(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
-    assert_eq!(a.n, b.n, "dimension mismatch");
-    let n = a.n;
+    assert_eq!(a.n(), b.n(), "dimension mismatch");
+    let n = a.n();
     let mut out = DenseMatrix::infinite(n);
+    let mut out_row = vec![INF; n];
     for i in 0..n {
-        for k in 0..n {
-            let av = a.data[i * n + k];
+        out_row.fill(INF);
+        for (k, &av) in a.row(i).iter().enumerate() {
             if av >= INF {
                 continue;
             }
-            let row_k = &b.data[k * n..(k + 1) * n];
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(row_k.iter()) {
+            for (o, &bv) in out_row.iter_mut().zip(b.row(k)) {
                 let cand = dadd(av, bv);
                 if cand < *o {
                     *o = cand;
                 }
             }
         }
+        for (j, &v) in out_row.iter().enumerate() {
+            out.set(i, j, v);
+        }
     }
     out
 }
 
-#[cfg(test)]
 mod tests {
     use super::*;
     use cc_graphs::generators;

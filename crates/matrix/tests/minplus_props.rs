@@ -3,19 +3,23 @@
 //! Two families of properties over random gnp / grid / caveman graphs:
 //!
 //! 1. **Cross-kernel agreement** — the CSR sparse product, the blocked dense
-//!    product and the legacy Vec-of-Vec product compute the same matrix
-//!    entry-for-entry (first and second adjacency powers, so both the
-//!    sparse-row and the dense-row emit paths of the CSR kernel are hit).
+//!    product and the legacy Vec-of-Vec product (the reference ports in
+//!    `legacy/`) compute the same matrix entry-for-entry (first and second
+//!    adjacency powers, so both the sparse-row and the dense-row emit paths
+//!    of the CSR kernel are hit).
 //! 2. **Thread determinism** — `threads ∈ {1, 2, 4, 8}` produce bit-identical
 //!    matrices (values *and* nnz) for both kernels, including when a warm
 //!    workspace is reused across products.
 
+mod legacy;
+
 use cc_graphs::{generators, Graph};
-use cc_matrix::legacy::{dense_minplus_unblocked, LegacySparseMatrix};
 use cc_matrix::{DenseMatrix, MinplusWorkspace, SparseMatrix};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+use legacy::{dense_minplus_unblocked, LegacySparseMatrix};
 
 /// One random graph from the (family, size, seed) triple.
 fn graph_for(family: usize, size: usize, seed: u64) -> Graph {
